@@ -31,7 +31,9 @@ struct WireWriter {
   }
 
  private:
+  // An empty vector's data() may be null; copy nothing from it.
   void put_raw(const void* p, std::size_t n) {
+    if (n == 0) return;
     const auto* b = static_cast<const std::uint8_t*>(p);
     bytes.insert(bytes.end(), b, b + n);
   }
@@ -82,8 +84,11 @@ struct WireReader {
   void need(std::size_t n) {
     require(off + n <= size, "proc wire: truncated payload");
   }
+  // memcpy's pointers must be non-null even for n == 0, and an empty
+  // vector's data() may be null.
   void get_raw(void* p, std::size_t n) {
     need(n);
+    if (n == 0) return;
     std::memcpy(p, data + off, n);
     off += n;
   }

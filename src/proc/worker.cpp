@@ -588,7 +588,6 @@ class Worker {
     std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
     for (i64 src = 0; src < procs_; ++src) {
       Channel& ch = in_ch[static_cast<std::size_t>(src)];
-      ch.keyed = job_.engine.keyed_channels;
       if (src == p) continue;
       InFrame f = take_frame(src, FrameKind::Clause);
       for (const Slot& s : f.payload)

@@ -102,8 +102,9 @@ class DistMachine {
   /// Plan-cache effectiveness (hits/misses/epoch) for benchmarks.
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
-  /// Per-element execution-path tally (fused kernel loop / per-element
-  /// kernel / interpreter / schedule replay) accumulated over the run.
+  /// Per-element execution-path tally (fused loop / affine element at a
+  /// time / plan-evaluated subscripts / schedule replay / jitted code)
+  /// accumulated over the run.
   /// Reporting only — never part of DistStats.
   const PathCounters& path_counters() const noexcept { return paths_; }
 
@@ -234,7 +235,6 @@ class DistMachine {
   std::vector<RankCounters> sched_counters_;
   std::vector<PathCounters> sched_pcs_;
   struct ReplayScratch {
-    std::vector<i64> vals;
     std::vector<double> refs;
     std::vector<double> stack;
     std::vector<const std::vector<double>*> rows;

@@ -24,19 +24,22 @@ i64 EngineContext::trace_lanes() const {
   return n;
 }
 
-spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope) {
+spmd::PlanCache* EngineContext::acquire_plans(const std::string& kind,
+                                              const std::string& scope) {
+  const std::string pool_key = scope.empty() ? scope : kind + ':' + scope;
   std::lock_guard<std::mutex> lk(m_);
   std::unique_ptr<spmd::PlanCache> cache;
-  if (!scope.empty()) {
-    auto it = plan_pool_.find(scope);
+  if (!pool_key.empty()) {
+    auto it = plan_pool_.find(pool_key);
     if (it != plan_pool_.end() && !it->second.empty()) {
       cache = std::move(it->second.back());
       it->second.pop_back();
+      cache->rewind();
     }
   }
   if (!cache) cache = std::make_unique<spmd::PlanCache>();
   spmd::PlanCache* raw = cache.get();
-  live_plans_.emplace(raw, Lease{std::move(cache), scope});
+  live_plans_.emplace(raw, Lease{std::move(cache), pool_key});
   return raw;
 }
 

@@ -17,11 +17,11 @@
 //   - every Tracer handed to machines built against this context, kept
 //     alive past the machines so served traces can be inspected after
 //     a request completes;
-//   - a pool of PlanCaches leased to machines by scope (the compile
-//     fingerprint): two concurrent executions of the same program get
-//     two caches (PlanCache is single-machine by contract), but a
-//     release returns the warm cache to the pool so the session's next
-//     request for that program starts with every plan built;
+//   - a pool of PlanCaches leased to machines by kind and scope (the
+//     compile fingerprint): two concurrent executions of the same
+//     program get two caches (PlanCache is single-machine by contract),
+//     but a release returns the warm cache to the pool so the session's
+//     next request for that program starts with every plan built;
 //   - a MetricsRegistry accumulating whatever the owner records across
 //     runs (the serve layer folds in per-request machine stats).
 //
@@ -64,13 +64,17 @@ class EngineContext {
   i64 trace_events() const;
   i64 trace_lanes() const;
 
-  /// Leases a PlanCache to one machine. A non-empty scope names the
-  /// program family (the serve layer passes the compile-cache
-  /// fingerprint): release() parks the cache for warm reuse by the
-  /// next machine with the same scope, and concurrent leases of one
+  /// Leases a PlanCache to one machine of kind `kind` ("dist",
+  /// "shared"), rewound to epoch 0. A non-empty scope names the program
+  /// family (the serve layer passes the compile-cache fingerprint):
+  /// release() parks the cache for warm reuse by the next machine of
+  /// the same kind with the same scope, and concurrent leases of one
   /// scope get distinct caches (a PlanCache serves one machine at a
-  /// time). An empty scope is a private cache destroyed on release.
-  spmd::PlanCache* acquire_plans(const std::string& scope);
+  /// time). The kind is part of the pool key because each machine kind
+  /// attaches its own schedule type to the entries. An empty scope is a
+  /// private cache destroyed on release.
+  spmd::PlanCache* acquire_plans(const std::string& kind,
+                                 const std::string& scope);
   void release_plans(spmd::PlanCache* cache) noexcept;
 
   /// Session-lifetime metrics. The owner records; machines never write
@@ -106,8 +110,9 @@ class EngineContext {
 class PlanLease {
  public:
   PlanLease() = default;
-  PlanLease(std::shared_ptr<EngineContext> ctx, const std::string& scope)
-      : ctx_(std::move(ctx)), cache_(ctx_->acquire_plans(scope)) {}
+  PlanLease(std::shared_ptr<EngineContext> ctx, const std::string& kind,
+            const std::string& scope)
+      : ctx_(std::move(ctx)), cache_(ctx_->acquire_plans(kind, scope)) {}
   ~PlanLease() { reset(); }
   PlanLease(PlanLease&& o) noexcept
       : ctx_(std::move(o.ctx_)), cache_(o.cache_) {

@@ -19,9 +19,10 @@ namespace vcal::rt {
 /// fields are pinned bit-identical across every engine configuration.
 struct PathCounters {
   i64 fused = 0;    // elements covered by a fused strided kernel loop
-  i64 generic = 0;  // kernel path, element at a time (run edges,
-                    // non-affine or unprovable runs)
-  i64 interp = 0;   // tree-walking interpreter elements
+  i64 generic = 0;  // affine subscripts, element at a time (run
+                    // edges and unprovable runs)
+  i64 interp = 0;   // element at a time with plan-evaluated subscripts
+                    // (some subscript is not affine)
   i64 sched = 0;    // elements replayed through a compiled
                     // communication schedule (inspector–executor)
   i64 jit = 0;      // elements executed through jitted native code
@@ -69,20 +70,6 @@ struct EngineOptions {
   /// (invalidated when a redistribution changes a decomposition).
   bool cache_plans = true;
 
-  /// Match in-flight messages with a per-channel hash index keyed on the
-  /// message tag instead of the packed sorted-vector + binary-search
-  /// representation (distributed target only). Counters and results are
-  /// identical either way; the conformance oracle runs both to pin the
-  /// two matching paths against each other.
-  bool keyed_channels = false;
-
-  /// Execute clauses through their compiled kernels (postfix-bytecode
-  /// RHS/guard evaluation, affine subscript/tag strides, fused strided
-  /// loops over local storage) instead of the tree-walking interpreter.
-  /// Results, counters, and exceptions are bit-identical either way; the
-  /// conformance oracle pins the two paths against each other.
-  bool compiled_kernels = true;
-
   /// Compile communication schedules (inspector–executor): once a
   /// clause's message pattern has been observed at the current
   /// decomposition epoch, subsequent steps pack values positionally
@@ -111,7 +98,7 @@ struct EngineOptions {
   /// pointers. Results are bit-identical to the bytecode kernel (the
   /// conformance oracle's `jit` axis pins this); without a detected
   /// compiler — or on any compile/dlopen failure — the bytecode kernel
-  /// keeps running. Requires cache_plans and compiled_kernels.
+  /// keeps running. Requires cache_plans and affine subscripts.
   bool jit = true;
 
   /// Clean executions of a cached plan before its compile is armed

@@ -32,7 +32,7 @@ SharedMachine::SharedMachine(spmd::Program program, gen::BuildOptions opts,
       engine_(engine),
       ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()) {
   program_.validate();
-  plans_ = PlanLease(ctx_, plan_scope);
+  plans_ = PlanLease(ctx_, "shared", plan_scope);
   if (engine_.threads > 1)
     pool_ = std::make_unique<support::ThreadPool>(engine_.threads);
   if (engine_.trace) {
@@ -118,10 +118,8 @@ void SharedMachine::run() {
         // cached affine kernel path.
         spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
-        const spmd::ClauseKernel* kern =
-            engine_.compiled_kernels ? &plan.kernel() : nullptr;
-        if (engine_.jit && kern && kern->affine() && key)
-          jfns = jit_poll(*key, *clause, *kern, &js);
+        if (engine_.jit && plan.kernel().affine() && key)
+          jfns = jit_poll(*key, *clause, plan.kernel(), &js);
         // Gather-schedule dispatch (see comm_schedule.hpp): replay when
         // a schedule exists for this plan at the current epoch; record
         // one on the second clean execution; otherwise enumerate.
@@ -241,12 +239,13 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
   const int nrefs = static_cast<int>(clause.refs.size());
   const int inner = static_cast<int>(clause.loops.size()) - 1;
 
-  // Kernel path: bytecode RHS/guard plus affine subscript strides (see
-  // spmd/kernel.hpp). Shared memory addresses every array densely, so
-  // the strided-run analysis only has to prove bounds, not residency.
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  // The clause body always runs as bytecode (see spmd/kernel.hpp). When
+  // every subscript is affine (kaff), the strided-run analysis fuses
+  // in-bounds subranges (shared memory addresses every array densely, so
+  // it only has to prove bounds, not residency); every other element
+  // runs one at a time, its subscripts from ClausePlan::elem_*.
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const bool kaff = kern.affine();
 
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
@@ -274,45 +273,10 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
                     : &store_.dense(clause.refs[r].array);
     std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
     const spmd::IterationSpace& space = plan.modify_space(p);
-    if (!kaff) {
-      space.for_each(
-          [&](const std::vector<i64>& vals) {
-            plan.lhs_index_into(vals, out_idx);
-            if (!lhs.in_bounds(out_idx))
-              throw RuntimeFault("write out of bounds on " +
-                                 clause.lhs_array);
-            for (std::size_t r = 0; r < clause.refs.size(); ++r) {
-              const decomp::ArrayDesc& rd =
-                  plan.ref_desc(static_cast<int>(r));
-              plan.ref_index_into(static_cast<int>(r), vals, idx);
-              if (!rd.in_bounds(idx))
-                throw RuntimeFault("read out of bounds on " +
-                                   clause.refs[r].array);
-              i64 off = rd.dense_linear(idx);
-              ref_values[r] = (*rows[r])[static_cast<std::size_t>(off)];
-              if (rec) rec->note_off(p, off);
-            }
-            if (rec)
-              // Pre-guard: replay evaluates guards live, so guarded-off
-              // elements still carry their operand offsets.
-              rec->note_element(p, lhs.dense_linear(out_idx), vals.data());
-            if (clause.guard && !clause.guard->holds(ref_values, vals))
-              return;
-            out_buf[static_cast<std::size_t>(lhs.dense_linear(out_idx))] =
-                prog::eval(clause.rhs, ref_values, vals);
-          },
-          &rank_stats[static_cast<std::size_t>(p)]);
-      pcs[static_cast<std::size_t>(p)].interp += space.count();
-      VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, 0, 0,
-                 pcs[static_cast<std::size_t>(p)].interp);
-      VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
-      return;
-    }
-
     PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    std::vector<double> stack(static_cast<std::size_t>(kern->stack_need()));
-    const spmd::CompiledGuard* guard = kern->guard();
-    const spmd::CompiledExpr& rhs = kern->rhs();
+    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
+    const spmd::CompiledExpr& rhs = kern.rhs();
     spmd::ArrayAddr lhs_addr = spmd::make_dense_addr(lhs);
     std::vector<spmd::ArrayAddr> raddrs;
     raddrs.reserve(static_cast<std::size_t>(nrefs));
@@ -336,15 +300,14 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
       row_ptrs[static_cast<std::size_t>(r)] =
           rows[static_cast<std::size_t>(r)]->data();
 
-    // Element-at-a-time body: the interpreter branch verbatim, with
-    // subscripts/guard/RHS routed through the kernel.
+    // Element-at-a-time body.
     auto element = [&](const std::vector<i64>& vals) {
-      spmd::ClauseKernel::subs_into(kern->lhs_subs(), vals.data(), out_idx);
+      plan.elem_lhs_index(vals, out_idx);
       if (!lhs.in_bounds(out_idx))
         throw RuntimeFault("write out of bounds on " + clause.lhs_array);
       for (int r = 0; r < nrefs; ++r) {
         const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        spmd::ClauseKernel::subs_into(kern->ref_subs(r), vals.data(), idx);
+        plan.elem_ref_index(r, vals, idx);
         if (!rd.in_bounds(idx))
           throw RuntimeFault("read out of bounds on " +
                              clause.refs[static_cast<std::size_t>(r)].array);
@@ -366,14 +329,15 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
     space.for_each_run(
         [&](std::vector<i64>& vals, const gen::Piece& run) {
           spmd::StridedRun lrun;
-          spmd::fill_progression(kern->lhs_subs(), vals, inner, run,
-                                 g0l.data(), dgl.data());
-          bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                        run.count, &lrun);
+          if (kaff)
+            spmd::fill_progression(kern.lhs_subs(), vals, inner, run,
+                                   g0l.data(), dgl.data());
+          bool fuse = kaff && spmd::strided_run(lhs_addr, g0l.data(),
+                                                dgl.data(), run.count, &lrun);
           i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
           for (int r = 0; fuse && r < nrefs; ++r) {
             auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern->ref_subs(r), vals, inner, run,
+            spmd::fill_progression(kern.ref_subs(r), vals, inner, run,
                                    g0s[ur].data(), dgs[ur].data());
             fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
                                      dgs[ur].data(), run.count, &rruns[ur]);
@@ -389,7 +353,7 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
                   run.start + k * run.stride;
               element(vals);
             }
-            pc.generic += run.count;
+            (kaff ? pc.generic : pc.interp) += run.count;
             return;
           }
           for (i64 k = 0; k < k0; ++k) {
@@ -499,9 +463,7 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
   const i64 procs = plan.procs();
   const int nrefs = sched.nrefs;
   const int nloops = sched.nloops;
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  const spmd::ClauseKernel& kern = plan.kernel();
 
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
@@ -515,7 +477,6 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
     const spmd::GatherSchedule::RankGather& rg =
         sched.ranks[static_cast<std::size_t>(p)];
     std::vector<double> ref_values(static_cast<std::size_t>(nrefs));
-    std::vector<i64> vvals;  // interpreter-path loop tuple
     std::vector<const std::vector<double>*> rows(
         static_cast<std::size_t>(nrefs));
     for (int r = 0; r < nrefs; ++r)
@@ -525,9 +486,8 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
               ? &*snap
               : &store_.dense(clause.refs[static_cast<std::size_t>(r)].array);
     std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    std::vector<double> stack;
-    const spmd::CompiledGuard* guard = kaff ? kern->guard() : nullptr;
-    if (kaff) stack.resize(static_cast<std::size_t>(kern->stack_need()));
+    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
     PathCounters& pc = pcs[static_cast<std::size_t>(p)];
 
     // Jitted replay: execute the flattened segment program instead of
@@ -567,19 +527,11 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
           ref_values[static_cast<std::size_t>(r)] =
               (*rows[static_cast<std::size_t>(r)])
                   [static_cast<std::size_t>(offs[r])];
-        double value;
-        if (kaff) {
-          if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
-            continue;
-          value = kern->rhs().eval(ref_values.data(), vals, stack.data());
-        } else {
-          vvals.assign(vals, vals + nloops);
-          if (clause.guard && !clause.guard->holds(ref_values, vvals))
-            continue;
-          value = prog::eval(clause.rhs, ref_values, vvals);
-        }
+        if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
+          continue;
         out_buf[static_cast<std::size_t>(
-            rg.lhs_slot[static_cast<std::size_t>(e)])] = value;
+            rg.lhs_slot[static_cast<std::size_t>(e)])] =
+            kern.rhs().eval(ref_values.data(), vals, stack.data());
       }
       pc.sched += rg.n;
     }
@@ -624,8 +576,11 @@ void SharedMachine::run_clause_sequential(const Clause& clause) {
   const ClausePlan& plan =
       uncached ? *uncached : plans_->get(clause, program_.arrays, opts_);
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const spmd::CompiledGuard* guard = kern.guard();
 
   std::vector<double> ref_values(clause.refs.size());
+  std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
   std::vector<i64> out_idx, idx;  // scratch
   gen::EnumStats s;
   // A full-range space: rank ownership is ignored under '•'.
@@ -649,8 +604,12 @@ void SharedMachine::run_clause_sequential(const Clause& clause) {
           ref_values[r] = store_.read(plan.ref_desc(static_cast<int>(r)),
                                       idx);
         }
-        if (clause.guard && !clause.guard->holds(ref_values, vals)) return;
-        store_.write(lhs, out_idx, prog::eval(clause.rhs, ref_values, vals));
+        if (guard &&
+            !guard->holds(ref_values.data(), vals.data(), stack.data()))
+          return;
+        store_.write(lhs, out_idx,
+                     kern.rhs().eval(ref_values.data(), vals.data(),
+                                     stack.data()));
       },
       &s);
   stats_.iterations += s.loop_iters;

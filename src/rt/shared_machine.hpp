@@ -71,8 +71,9 @@ class SharedMachine {
   /// Plan-cache effectiveness (hits/misses/epoch) for benchmarks.
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
-  /// Per-element execution-path tally (fused kernel loop / per-element
-  /// kernel / interpreter / schedule replay) accumulated over the run.
+  /// Per-element execution-path tally (fused loop / affine element at a
+  /// time / plan-evaluated subscripts / schedule replay / jitted code)
+  /// accumulated over the run.
   /// Reporting only — never part of SharedStats.
   const PathCounters& path_counters() const noexcept { return paths_; }
 

@@ -462,8 +462,8 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
         // sequential target the compiled clause kernel IS the plan.
         auto program = std::shared_ptr<const spmd::Program>(
             out.entry, &out.entry->program);
-        rt::SeqExecutor m(program, req.engine.compiled_kernels,
-                          session.ctx, out.entry->kernels);
+        rt::SeqExecutor m(program, /*compiled_kernels=*/true, session.ctx,
+                          out.entry->kernels);
         spmd::KernelCache::Counters k0 = out.entry->kernels->counters();
         load_inputs(m);
         m.run();

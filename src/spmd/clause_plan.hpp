@@ -32,11 +32,10 @@
 
 #include "decomp/array_desc.hpp"
 #include "gen/optimizer.hpp"
+#include "spmd/kernel.hpp"
 #include "vcal/clause.hpp"
 
 namespace vcal::spmd {
-
-class ClauseKernel;
 
 using ArrayTable = std::map<std::string, decomp::ArrayDesc>;
 
@@ -194,7 +193,7 @@ class ClausePlan {
   const IterationSpace& reside_space(i64 rank, int r) const;
 
   /// The clause compiled to bytecode + affine subscripts (built once per
-  /// plan; shares the plan cache's redistribute-epoch invalidation).
+  /// plan, so it lives exactly as long as the plan's cache entry).
   const ClauseKernel& kernel() const noexcept { return *kernel_; }
 
   /// Program-level index of the LHS element at these loop values.
@@ -217,6 +216,28 @@ class ClausePlan {
   /// Tag uniquely naming (ref, loop tuple) for message matching: the
   /// dense linearization of the loop tuple, offset by the ref id.
   i64 message_tag(int r, const std::vector<i64>& loop_vals) const;
+
+  /// The executors' per-element subscripts and tags: read from the
+  /// kernel's affine records when kernel().affine(), evaluated through
+  /// the plan (the three methods above) otherwise. Same values either way.
+  void elem_lhs_index(const std::vector<i64>& loop_vals,
+                      std::vector<i64>& out) const {
+    if (kernel_->affine())
+      ClauseKernel::subs_into(kernel_->lhs_subs(), loop_vals.data(), out);
+    else
+      lhs_index_into(loop_vals, out);
+  }
+  void elem_ref_index(int r, const std::vector<i64>& loop_vals,
+                      std::vector<i64>& out) const {
+    if (kernel_->affine())
+      ClauseKernel::subs_into(kernel_->ref_subs(r), loop_vals.data(), out);
+    else
+      ref_index_into(r, loop_vals, out);
+  }
+  i64 elem_tag(int r, const std::vector<i64>& loop_vals) const {
+    return kernel_->affine() ? kernel_->tag(r, loop_vals.data())
+                             : message_tag(r, loop_vals);
+  }
 
   /// Methods chosen for every LHS dimension (reporting/debugging).
   std::string describe() const;

@@ -3,14 +3,15 @@
 // The paper replaces O(n) run-time membership tests with closed-form
 // generator functions; this layer removes the interpreter tax that was
 // still paid on every *generated* index. A ClauseKernel is built once per
-// clause (and memoized next to its ClausePlan, so it shares the
-// redistribute-epoch invalidation) and provides:
+// clause (and memoized next to its ClausePlan, so it is rebuilt with
+// the plan after a redistribute) and provides:
 //
 //   1. RHS expressions and guards lowered to a flat postfix bytecode
 //      array evaluated on a small caller-owned value stack — no
 //      shared_ptr tree recursion in the inner loop. Operand order is the
 //      tree's left-then-right order, so doubles combine in exactly the
-//      interpreter's order and results are bit-identical.
+//      order of prog::eval and results are bit-identical. This is the
+//      only clause evaluator of the simulated machines.
 //   2. Affine subscript specialization: when every subscript classifies
 //      as Constant or Affine (the paper's Table I classes, via
 //      fn::classify), subscripts become {loop, a, c} records and the
@@ -20,11 +21,11 @@
 //      in-bounds, owned by a given rank, and advances its local address
 //      by a constant stride. Executors fuse that subrange into a single
 //      strided loop over the local Store row; everything outside it
-//      falls back to the per-element interpreter-identical path.
+//      runs element at a time.
 //
-// Everything here is observably equivalent to the interpreter: same
-// results bit-for-bit, same counters, same exceptions in the same order.
-// EngineOptions::compiled_kernels turns the whole layer off.
+// Everything here is observably equivalent to the tree-walking
+// reference (prog::eval, SeqExecutor's interpreter mode): same results
+// bit-for-bit, same counters, same exceptions in the same order.
 #pragma once
 
 #include <memory>

@@ -4,22 +4,26 @@
 // same clause hundreds of times; planning a clause builds one
 // OwnerComputePlan per constrained dimension, which is pure compile-time
 // work the paper performs exactly once. The cache restores that property
-// at run time: plans are keyed by the clause's printed form and stamped
-// with a *decomposition epoch*. Executing a redistribution bumps the
-// epoch, so every stale plan (whose owner arithmetic baked in the old
-// layout) misses and is rebuilt against the new descriptors — the
-// invalidation the redistribution tests guard.
+// at run time: plans are keyed by the clause's printed form and by a
+// *decomposition epoch*, the number of redistributions the machine
+// holding the cache has executed. A redistribution bumps the epoch, so
+// a plan whose owner arithmetic baked in the old layout is never reused
+// against the new one — the invalidation the redistribution tests
+// guard. A machine that leases a warm cache (EngineContext) starts
+// again at epoch 0 with the program's initial layout, so a rerun of the
+// same program hits every plan its predecessor built, on both sides of
+// every redistribution.
 //
-// One cache belongs to one machine instance, so the BuildOptions and the
-// evolving ArrayTable passed to get() are those of its owner; they are
-// not part of the key.
+// One cache belongs to one machine at a time, so the BuildOptions and
+// the evolving ArrayTable passed to get() are those of its holder; they
+// are not part of the key.
 //
-// References returned by get() stay valid until the entry is rebuilt on
-// an epoch mismatch (std::unordered_map never invalidates references on
-// insert); callers must not hold them across a bump_epoch().
+// References returned by get() stay valid for the cache's lifetime:
+// entries are never rebuilt or erased.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,9 +35,8 @@ namespace vcal::spmd {
 
 /// Opaque base for artifacts derived from a plan at one decomposition
 /// epoch — compiled communication schedules (comm_schedule.hpp). They
-/// ride in the plan's cache entry, so the epoch-mismatch rebuild that
-/// invalidates a stale plan destroys its schedule with it: schedule
-/// invalidation on redistribute costs nothing extra.
+/// ride in the plan's cache entry, so a redistribution, which moves to
+/// the next epoch's entries, never replays a stale schedule.
 struct CachedSchedule {
   virtual ~CachedSchedule() = default;
 };
@@ -52,24 +55,31 @@ class PlanCache {
                         const ArrayTable& arrays, gen::BuildOptions opts = {});
 
   /// The schedule attached to `key`'s entry at the current epoch, or
-  /// nullptr (no entry, no schedule, or a stale epoch).
+  /// nullptr (no entry or no schedule).
   CachedSchedule* find_schedule(const std::string& key) noexcept;
 
   /// Attaches a schedule to `key`'s current-epoch entry (dropped if the
-  /// entry is missing or stale — the builder raced a redistribute).
+  /// entry is missing).
   void attach_schedule(const std::string& key,
                        std::unique_ptr<CachedSchedule> sched);
 
-  /// Number of entries currently holding a schedule.
+  /// Number of current-epoch entries holding a schedule.
   i64 schedules() const noexcept;
 
-  /// Invalidates every cached plan (a decomposition changed).
-  void bump_epoch() noexcept { ++epoch_; }
+  /// Moves to the next epoch (the holder executed a redistribution).
+  void bump_epoch() {
+    if (++epoch_ == epochs_.size()) epochs_.emplace_back();
+  }
+
+  /// Back to epoch 0: a new holder starts from the program's initial
+  /// layout (EngineContext::acquire_plans calls this on every lease).
+  void rewind() noexcept { epoch_ = 0; }
 
   std::uint64_t epoch() const noexcept { return epoch_; }
   i64 hits() const noexcept { return hits_; }
   i64 misses() const noexcept { return misses_; }
-  i64 size() const noexcept { return static_cast<i64>(cache_.size()); }
+  /// Entries across every epoch.
+  i64 size() const noexcept;
 
   /// Emit PlanHit/PlanMiss events on `lane` of `tracer` (the owning
   /// machine's control lane). nullptr detaches.
@@ -80,15 +90,17 @@ class PlanCache {
 
  private:
   struct Entry {
-    std::uint64_t epoch;
     ClausePlan plan;
     std::unique_ptr<CachedSchedule> sched;  // may be null
   };
+  using EpochMap = std::unordered_map<std::string, Entry>;
 
   std::uint64_t epoch_ = 0;
   i64 hits_ = 0;
   i64 misses_ = 0;
-  std::unordered_map<std::string, Entry> cache_;
+  // epochs_[e] holds epoch e's entries; always longer than epoch_. A
+  // deque, so growing it never moves the maps references point into.
+  std::deque<EpochMap> epochs_ = std::deque<EpochMap>(1);
   obs::Tracer* tracer_ = nullptr;
   i64 lane_ = 0;
 };

@@ -42,22 +42,44 @@ std::string diff_stats(const DistStats& a, const DistStats& b) {
   return out;
 }
 
-std::string describe_engine(const EngineOptions& e) {
-  return cat("threads=", e.threads, " cache=", e.cache_plans ? 1 : 0,
-             " keyed=", e.keyed_channels ? 1 : 0,
-             " kernels=", e.compiled_kernels ? 1 : 0,
-             " trace=", e.trace ? 1 : 0,
-             " sched=", e.comm_schedules ? 1 : 0,
-             " jit=", e.jit ? 1 : 0);
-}
+/// One engine configuration of the matrix, with its diagnostic label.
+struct EngineConfig {
+  std::string label;
+  EngineOptions engine;
+};
 
-/// The jit axis rides on the compiled-kernel path and keys off the plan
-/// cache; configs without both have nothing to jit. Synchronous compiles
-/// with threshold 1 make the native path deterministic inside the check.
-void arm_jit(EngineOptions& e) {
-  e.jit = true;
-  e.jit_sync = true;
-  e.jit_threshold = 1;
+/// The engine matrix both simulated machines run:
+///   threads {serial, shared pool, 4 lanes} x plan cache {on, off}
+///   x tracing {off, on} x native jit {off, synchronous}
+///   x communication schedules {on, off}.
+/// The jit axis keys off the plan cache, so configs without it have
+/// nothing to jit; synchronous compiles with threshold 1 make the
+/// native path deterministic inside the check. Everywhere else jit is
+/// pinned off for deterministic path tallies.
+std::vector<EngineConfig> engine_matrix(bool jit_axis) {
+  std::vector<EngineConfig> out;
+  for (int threads : {1, 0, 4})
+    for (bool cache : {true, false})
+      for (bool trace : {false, true})
+        for (bool jit : {false, true}) {
+          if (jit && !(jit_axis && cache)) continue;
+          for (bool sched : {true, false}) {
+            EngineConfig c;
+            c.label = cat("threads=", threads, " cache=", cache ? 1 : 0,
+                          " trace=", trace ? 1 : 0, " sched=", sched ? 1 : 0,
+                          " jit=", jit ? 1 : 0);
+            EngineOptions& e = c.engine;
+            e.threads = threads;
+            e.cache_plans = cache;
+            e.trace = trace;
+            e.comm_schedules = sched;
+            e.jit = jit;
+            e.jit_sync = jit;
+            if (jit) e.jit_threshold = 1;
+            out.push_back(std::move(c));
+          }
+        }
+  return out;
 }
 
 bool has_sequential_clause(const spmd::Program& program) {
@@ -83,7 +105,7 @@ std::string OracleReport::str() const {
                " machine runs, all configurations bit-identical\n",
                "verify paths: ",
                rt::PathCounters{fused, generic, interp, sched, jit}.str(),
-               " elements (kernel fast path vs interpreter)");
+               " elements");
   std::string out =
       cat("verify: FAIL at iteration ", failing_iter,
           " (replay: --verify --iters 1 --seed ", failing_seed, ")\n",
@@ -154,45 +176,22 @@ CheckResult Oracle::check_program(
   if (!res.ok) return res;
 
   // ---- shared-memory matrix -------------------------------------------
-  for (int threads : {1, 0, 4}) {
-    for (bool cache : {true, false}) {
-      for (bool kernels : {true, false}) {
-        for (bool trace : {false, true}) {
-          for (int jit = 0; jit < 2; ++jit) {
-            // Native codegen needs the kernel path and cached plans, and
-            // is only exercised when the axis is on; everywhere else the
-            // config pins jit off for deterministic path tallies.
-            if (jit && !(jit_axis && kernels && cache)) continue;
-            for (bool sched : {true, false}) {
-            EngineOptions e;
-            e.threads = threads;
-            e.cache_plans = cache;
-            e.compiled_kernels = kernels;
-            e.trace = trace;
-            e.comm_schedules = sched;
-            e.jit = false;
-            if (jit) arm_jit(e);
-            try {
-              rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false,
-                                  e);
-              load_all(m);
-              m.run();
-              ++res.runs;
-              tally(m.path_counters());
-              for (const std::string& n : names)
-                if (m.result(n) != ref[n])
-                  fail(cat("shared[", describe_engine(e),
-                           "] diverges from seq on ", n));
-            } catch (const Error& e2) {
-              fail(cat("shared[", describe_engine(e), "] threw: ",
-                       e2.what()));
-            }
-            if (!res.ok) return res;
-            }
-          }
-        }
-      }
+  const std::vector<EngineConfig> matrix = engine_matrix(jit_axis);
+  for (const EngineConfig& c : matrix) {
+    const std::string tag = cat("shared[", c.label, "]");
+    try {
+      rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false,
+                          c.engine);
+      load_all(m);
+      m.run();
+      ++res.runs;
+      tally(m.path_counters());
+      for (const std::string& n : names)
+        if (m.result(n) != ref[n]) fail(cat(tag, " diverges from seq on ", n));
+    } catch (const Error& e) {
+      fail(cat(tag, " threw: ", e.what()));
     }
+    if (!res.ok) return res;
   }
   try {
     EngineOptions e;
@@ -291,47 +290,24 @@ CheckResult Oracle::check_program(
   if (!res.ok) return res;
 
   // ---- engine matrix: every configuration bit-identical ----------------
-  for (int threads : {1, 0, 4}) {
-    for (bool cache : {true, false}) {
-      for (bool keyed : {false, true}) {
-        for (bool kernels : {true, false}) {
-          for (bool trace : {false, true}) {
-            for (int jit = 0; jit < 2; ++jit) {
-              if (jit && !(jit_axis && kernels && cache)) continue;
-              for (bool sched : {true, false}) {
-              EngineOptions e;
-              e.threads = threads;
-              e.cache_plans = cache;
-              e.keyed_channels = keyed;
-              e.compiled_kernels = kernels;
-              e.trace = trace;
-              e.comm_schedules = sched;
-              e.jit = false;
-              if (jit) arm_jit(e);
-              std::string tag = cat("dist[", describe_engine(e), "]");
-              try {
-                DistMachine m(program, {}, {}, e);
-                load_all(m);
-                m.run();
-                ++res.runs;
-                tally(m.path_counters());
-                for (const std::string& n : names)
-                  if (m.gather(n) != ref[n])
-                    fail(cat(tag, " diverges from seq on ", n));
-                std::string sd = diff_stats(m.stats(), st);
-                if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
-                if (m.message_matrix() != base.message_matrix())
-                  fail(cat(tag, " message matrix diverges"));
-              } catch (const Error& e2) {
-                fail(cat(tag, " threw: ", e2.what()));
-              }
-              if (!res.ok) return res;
-              }
-            }
-          }
-        }
-      }
+  for (const EngineConfig& c : matrix) {
+    const std::string tag = cat("dist[", c.label, "]");
+    try {
+      DistMachine m(program, {}, {}, c.engine);
+      load_all(m);
+      m.run();
+      ++res.runs;
+      tally(m.path_counters());
+      for (const std::string& n : names)
+        if (m.gather(n) != ref[n]) fail(cat(tag, " diverges from seq on ", n));
+      std::string sd = diff_stats(m.stats(), st);
+      if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
+      if (m.message_matrix() != base.message_matrix())
+        fail(cat(tag, " message matrix diverges"));
+    } catch (const Error& e) {
+      fail(cat(tag, " threw: ", e.what()));
     }
+    if (!res.ok) return res;
   }
 
   // ---- multi-process backend: the engine claims extend across real
@@ -339,13 +315,13 @@ CheckResult Oracle::check_program(
   // must reproduce the serial simulator bit for bit ----------------------
 #if defined(__linux__)
   if (proc_axis && !source.empty()) {
-    for (bool keyed : {false, true}) {
+    // The traced config also exercises per-rank trace shipping.
+    for (bool trace : {false, true}) {
       EngineOptions e;
       e.threads = 1;
       e.jit = false;
-      e.keyed_channels = keyed;
-      e.trace = keyed;  // the second config also exercises trace shipping
-      std::string tag = cat("proc[", describe_engine(e), "]");
+      e.trace = trace;
+      std::string tag = cat("proc[trace=", trace ? 1 : 0, "]");
       try {
         proc::ProcMachine m(source, {}, {}, e);
         load_all(m);

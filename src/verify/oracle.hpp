@@ -2,26 +2,23 @@
 //
 // The paper's claims are about *which* indices each node iterates and
 // *which* messages flow (Theorems 1-3, Table I); the engine's claim is
-// that none of its fast paths — thread pools, plan caching, bulk or
-// keyed message matching — change any observable. The oracle machine-
-// checks both: it runs a program through the sequential reference, the
-// shared-memory machine, and the distributed machine under the full
-// engine matrix
+// that none of its fast paths — thread pools, plan caching, compiled
+// communication schedules, jitted code — change any observable. The
+// oracle machine-checks both: it runs a program through the sequential
+// reference (the tree-walking interpreter, and the same executor on
+// bytecode kernels), the shared-memory machine, and the distributed
+// machine under the engine matrix
 //
 //     threads in {serial, shared pool, 4 lanes}
 //   x plan cache {on, off}
-//   x channel matching {bulk binary-search, keyed hash}
-//   x clause execution {compiled kernels, interpreter}
 //   x event tracing {off, on}
 //   x communication schedules {on, off}
-//   x native jit {off, synchronously compiled} (where kernels+cache on)
-//   x build {optimized, run-time resolution}
+//   x native jit {off, synchronously compiled} (where the cache is on)
 //
-// plus two opt-in axes: the multi-process backend (--proc) and the
-// whole-program native backend (--native: the emitted OpenMP C
-// compiled, dlopened, and run — see rt/native_machine.hpp).
-//
-// and asserts bit-identical result arrays everywhere, bit-identical
+// plus the distributed machine on run-time-resolution plans and two
+// opt-in axes: the multi-process backend (--proc) and the whole-program
+// native backend (--native: the emitted OpenMP C compiled, dlopened,
+// and run — see rt/native_machine.hpp). It asserts bit-identical result arrays everywhere, bit-identical
 // DistStats / message matrices across engine configurations, and the
 // statistics invariants the runtime promises:
 //
@@ -56,9 +53,9 @@ struct CheckResult {
   int runs = 0;             // machine executions performed
   std::string diagnostics;  // first divergence / violated invariant
   // Execution-path tally over every machine run: how many elements went
-  // through a fused strided kernel loop, the per-element kernel path,
-  // the tree-walking interpreter, compiled-schedule replay, and jitted
-  // native code (see rt::PathCounters).
+  // through a fused strided loop, one at a time with affine subscripts,
+  // one at a time with plan-evaluated subscripts, compiled-schedule
+  // replay, and jitted native code (see rt::PathCounters).
   std::int64_t fused = 0;
   std::int64_t generic = 0;
   std::int64_t interp = 0;

@@ -229,16 +229,14 @@ TEST(Cli, ServeRoundTripMatchesDirectAndShutsDown) {
 
 TEST(Cli, EngineFlagsDoNotChangeResults) {
   // No --stats here: the "paths:" tally legitimately moves between the
-  // kernel and interpreter columns when --no-compiled-kernels is given.
+  // fused, schedule and jit columns as the knobs change.
   std::string base = "--init B --print A " + programs() + "/rotate.vexl";
   RunResult plain = run(base);
   ASSERT_EQ(plain.status, 0) << plain.out;
   for (const char* flags :
        {"--threads 1", "--threads 4", "--no-plan-cache",
-        "--keyed-channels", "--no-compiled-kernels",
         "--no-comm-schedules", "--no-jit", "--jit-threshold 1 --jit-sync",
-        "--threads 1 --no-plan-cache --keyed-channels "
-        "--no-compiled-kernels --no-comm-schedules --no-jit"}) {
+        "--threads 1 --no-plan-cache --no-comm-schedules --no-jit"}) {
     RunResult r = run(std::string(flags) + " " + base);
     EXPECT_EQ(r.status, 0) << flags << "\n" << r.out;
     EXPECT_EQ(r.out, plain.out) << flags;

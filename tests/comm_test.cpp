@@ -174,19 +174,6 @@ TEST(CommSchedule, NoPlanCacheDisablesSchedules) {
   expect_same_observables(base, r);
 }
 
-TEST(CommSchedule, ComposesWithKeyedChannelsAndInterpreter) {
-  DistRun base = run_dist(repeat_src(6), {});
-  for (int variant = 0; variant < 3; ++variant) {
-    EngineOptions e;
-    e.keyed_channels = variant != 1;
-    e.compiled_kernels = variant != 0;
-    DistRun r = run_dist(repeat_src(6), e);
-    expect_same_observables(base, r);
-    EXPECT_EQ(r.comm.sched_builds, 1) << variant;
-    EXPECT_EQ(r.comm.sched_hits, 4) << variant;
-  }
-}
-
 TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
   spmd::Program program = lang::compile(repeat_src(6, /*redist=*/true));
   auto run_shared = [&](bool sched) {

@@ -33,6 +33,20 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// the same malloc the deletes below free, or ASan reports a mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (g_count_allocs.load(std::memory_order_relaxed))
+    g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -526,7 +540,6 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
     rt::EngineOptions e;
     e.threads = 1;  // inline on the caller: deterministic accounting
-    e.compiled_kernels = true;
     rt::DistMachine m(p, {}, {}, e);
     m.load("B", iota(n));
     g_new_calls = 0;

@@ -21,6 +21,7 @@
 
 #include "proc/job.hpp"
 #include "proc/proc_machine.hpp"
+#include "proc/wire.hpp"
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
 #include "support/error.hpp"
@@ -123,14 +124,9 @@ TEST(ProcMachine, HaloAndRedistributeParity) {
 }
 
 TEST(ProcMachine, EngineKnobsStayBitIdentical) {
-  rt::EngineOptions keyed;
-  keyed.keyed_channels = true;
-  expect_parity(rotate_source(4), {{"B", ramp(20)}}, {"A"}, keyed);
-
   rt::EngineOptions assorted;
   assorted.threads = 3;
   assorted.cache_plans = false;
-  assorted.compiled_kernels = false;
   assorted.comm_schedules = false;
   expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U"}, assorted);
 }
@@ -321,8 +317,6 @@ TEST(ProcJob, RoundTripsEveryField) {
   job.build.max_pieces = 17;
   job.engine.threads = 5;
   job.engine.cache_plans = false;
-  job.engine.keyed_channels = true;
-  job.engine.compiled_kernels = false;
   job.engine.comm_schedules = false;
   job.engine.trace = true;
   job.engine.trace_capacity = 999;
@@ -359,6 +353,20 @@ TEST(ProcJob, RoundTripsEveryField) {
   EXPECT_EQ(back.ring_slots, 256);
 }
 
+TEST(ProcWire, EmptyVectorsRoundTrip) {
+  // An empty vector's data() is null: neither side may hand it to
+  // memcpy (UBSan's nonnull check), even for zero bytes.
+  WireWriter w;
+  w.put_f64s({});
+  w.put_str("");
+  w.put_f64s({1.5});
+  WireReader r(w.bytes.data(), w.bytes.size());
+  EXPECT_TRUE(r.get_f64s().empty());
+  EXPECT_TRUE(r.get_str().empty());
+  EXPECT_EQ(r.get_f64s(), std::vector<double>{1.5});
+  EXPECT_TRUE(r.done());
+}
+
 TEST(ProcJob, OptionsEchoPinsEveryPropagatedField) {
   // The worker echoes its decoded options back in HELLO and the
   // launcher byte-compares; this test pins that the echo actually
@@ -383,10 +391,6 @@ TEST(ProcJob, OptionsEchoPinsEveryPropagatedField) {
   mutate("max_pieces", [](JobSpec& j) { j.build.max_pieces += 1; });
   mutate("threads", [](JobSpec& j) { j.engine.threads += 1; });
   mutate("cache_plans", [](JobSpec& j) { j.engine.cache_plans ^= true; });
-  mutate("keyed_channels",
-         [](JobSpec& j) { j.engine.keyed_channels ^= true; });
-  mutate("compiled_kernels",
-         [](JobSpec& j) { j.engine.compiled_kernels ^= true; });
   mutate("comm_schedules",
          [](JobSpec& j) { j.engine.comm_schedules ^= true; });
   mutate("trace", [](JobSpec& j) { j.engine.trace ^= true; });

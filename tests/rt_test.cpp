@@ -843,10 +843,9 @@ TEST(Engine, SharedMachineMatchesAcrossPoolSizes) {
 
 TEST(Engine, FullOptionMatrixIsBitIdentical) {
   // Regression net over the whole engine-option space: threads in
-  // {serial, shared pool, 4 lanes} x plan cache {on, off} x channel
-  // matching {bulk, keyed} x clause execution {kernels, interpreter}
-  // must agree with the serial baseline on results, statistics, and the
-  // message matrix — on both a plain communicating clause and a
+  // {serial, shared pool, 4 lanes} x plan cache {on, off} must agree
+  // with the serial baseline on results, statistics, and the message
+  // matrix — on both a plain communicating clause and a
   // redistribute-mid-program sequence that exercises cache invalidation.
   auto scenarios = [] {
     std::vector<Program> ps;
@@ -875,25 +874,18 @@ TEST(Engine, FullOptionMatrixIsBitIdentical) {
 
     for (int threads : {0, 1, 4}) {
       for (bool cache : {true, false}) {
-        for (bool keyed : {false, true}) {
-          for (bool kernels : {true, false}) {
-            EngineOptions e;
-            e.threads = threads;
-            e.cache_plans = cache;
-            e.keyed_channels = keyed;
-            e.compiled_kernels = kernels;
-            DistMachine m(p, {}, {}, e);
-            m.load("B", iota(n));
-            m.run();
-            std::string where = cat("scenario=", s, " threads=", threads,
-                                    " cache=", cache, " keyed=", keyed,
-                                    " kernels=", kernels);
-            EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
-            EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
-            expect_same_stats(m.stats(), base.stats(), where);
-            EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
-          }
-        }
+        EngineOptions e;
+        e.threads = threads;
+        e.cache_plans = cache;
+        DistMachine m(p, {}, {}, e);
+        m.load("B", iota(n));
+        m.run();
+        std::string where =
+            cat("scenario=", s, " threads=", threads, " cache=", cache);
+        EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
+        EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
+        expect_same_stats(m.stats(), base.stats(), where);
+        EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
       }
     }
   }

@@ -43,6 +43,42 @@ const char kTwoStep[] =
     "forall i in 0:18 do A[i] := B[i + 1]*2; od\n"
     "forall i in 0:18 do B[i] := A[i] + 1; od\n";
 
+// A clause whose text repeats on both sides of a redistribute: its plan
+// at epoch 1 bakes in A's blockscatter layout, at epoch 0 the block one.
+const char kRedistRepeat[] =
+    "processors 4;\n"
+    "array A[0:37]; distribute A block;\n"
+    "array B[0:37]; distribute B replicated;\n"
+    "array C[0:37]; distribute C block overlap(1);\n"
+    "forall i in 0:37 do C[i] := A[i]*0.5 + B[i] - 3; od\n"
+    "forall i in 0:37 do B[i] := B[i]*0.5 + A[i] - 9; od\n"
+    "redistribute A blockscatter(4);\n"
+    "forall i in 0:37 do C[i] := A[i]*0.5 + B[i] - 3; od\n"
+    "forall i in 2:35 do C[i - 2] := A[i]*0.5 + B[(i + 5) mod 38] - 5; od\n";
+
+// A clause that runs three times after a redistribute: a machine records
+// its comm/gather schedule at epoch 1, and the next machine leasing the
+// warm scope replays that schedule.
+const char kRedistSchedule[] =
+    "processors 4;\n"
+    "array A[0:37]; distribute A block;\n"
+    "array B[0:37]; distribute B scatter;\n"
+    "forall i in 0:36 do A[i] := B[i + 1]*0.5 + A[i]; od\n"
+    "redistribute B blockscatter(4);\n"
+    "forall i in 0:36 do A[i] := B[i + 1]*0.5 + A[i]; od\n"
+    "forall i in 0:36 do A[i] := B[i + 1]*0.5 + A[i]; od\n"
+    "forall i in 0:36 do A[i] := B[i + 1]*0.5 + A[i]; od\n";
+
+// A halo sweep whose first clause repeats: the second execution of that
+// clause records a schedule into the plan-cache entry.
+const char kHalo3[] =
+    "processors 4;\n"
+    "array A[0:31]; array B[0:31];\n"
+    "distribute A block; distribute B block overlap(1);\n"
+    "forall i in 1:30 do A[i] := (B[i-1] + B[i+1])/2; od\n"
+    "forall i in 1:30 do B[i] := (A[i-1] + A[i+1])/2; od\n"
+    "forall i in 1:30 do A[i] := (B[i-1] + B[i+1])/2; od\n";
+
 std::vector<double> ramp(i64 n) {
   std::vector<double> v(static_cast<size_t>(n));
   for (i64 i = 0; i < n; ++i)
@@ -227,14 +263,138 @@ TEST(EngineContext, PlanCachesAndTracersDoNotBleedAcrossContexts) {
 
 TEST(EngineContext, ConcurrentLeasesOfOneScopeGetDistinctCaches) {
   auto ctx = std::make_shared<rt::EngineContext>();
-  spmd::PlanCache* a = ctx->acquire_plans("s");
-  spmd::PlanCache* b = ctx->acquire_plans("s");
+  spmd::PlanCache* a = ctx->acquire_plans("dist", "s");
+  spmd::PlanCache* b = ctx->acquire_plans("dist", "s");
   EXPECT_NE(a, b);  // a PlanCache serves one machine at a time
   ctx->release_plans(a);
-  spmd::PlanCache* c = ctx->acquire_plans("s");
+  spmd::PlanCache* c = ctx->acquire_plans("dist", "s");
   EXPECT_EQ(c, a);  // released lease comes back warm
   ctx->release_plans(b);
   ctx->release_plans(c);
+}
+
+TEST(EngineContext, WarmScopeReplansFromTheInitialLayout) {
+  // A machine leasing a warm scope starts again at the program's
+  // initial layout, so it must reuse the plans its predecessor built
+  // before the redistribute, not the ones built after it.
+  spmd::Program prog = lang::compile(kRedistRepeat);
+  auto load = [](auto& m) {
+    m.load("A", ramp(38));
+    m.load("B", ramp(38));
+  };
+  rt::SeqExecutor seq(prog);
+  load(seq);
+  seq.run();
+  const std::vector<double> want = seq.result("C");
+
+  auto ctx = std::make_shared<rt::EngineContext>();
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(testing::Message() << "run " << run);
+    rt::DistMachine dist(prog, {}, {}, {}, ctx, "redist");
+    i64 h0 = dist.plan_cache().hits(), m0 = dist.plan_cache().misses();
+    load(dist);
+    dist.run();
+    EXPECT_EQ(dist.gather("C"), want);
+    if (run > 0) {
+      EXPECT_EQ(dist.plan_cache().misses() - m0, 0);
+      EXPECT_EQ(dist.plan_cache().hits() - h0, 4);
+    }
+
+    rt::SharedMachine shared(prog, {}, {}, /*elide_barriers=*/false, {},
+                             ctx, "redist");
+    h0 = shared.plan_cache().hits();
+    m0 = shared.plan_cache().misses();
+    load(shared);
+    shared.run();
+    EXPECT_EQ(shared.result("C"), want);
+    if (run > 0) {
+      EXPECT_EQ(shared.plan_cache().misses() - m0, 0);
+      EXPECT_EQ(shared.plan_cache().hits() - h0, 4);
+    }
+  }
+}
+
+TEST(EngineContext, WarmScopeReplaysSchedulesRecordedAfterARedistribute) {
+  // The first machine records the post-redistribute clause's schedule
+  // on its second execution and replays it on its third; the next
+  // machine on the scope replays it on all three, with every observable
+  // unchanged.
+  spmd::Program prog = lang::compile(kRedistSchedule);
+  auto load = [](auto& m) {
+    m.load("A", ramp(38));
+    m.load("B", ramp(38));
+  };
+  rt::SeqExecutor seq(prog);
+  load(seq);
+  seq.run();
+  const std::vector<double> want = seq.result("A");
+
+  // Each machine is destroyed before the next one leases the scope, so
+  // the lease comes back warm.
+  auto ctx = std::make_shared<rt::EngineContext>();
+  std::string dist_stats, shared_stats;
+  std::vector<std::vector<i64>> matrix;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(testing::Message() << "run " << run);
+    const i64 builds = run == 0 ? 1 : 0, hits = run == 0 ? 1 : 3;
+    {
+      rt::DistMachine m(prog, {}, {}, {}, ctx, "sched");
+      load(m);
+      m.run();
+      EXPECT_EQ(m.gather("A"), want);
+      EXPECT_EQ(m.comm_stats().sched_builds, builds);
+      EXPECT_EQ(m.comm_stats().sched_hits, hits);
+      if (run == 0) {
+        dist_stats = m.stats().str();
+        matrix = m.message_matrix();
+      }
+      EXPECT_EQ(m.stats().str(), dist_stats);
+      EXPECT_EQ(m.message_matrix(), matrix);
+    }
+    rt::SharedMachine m(prog, {}, {}, /*elide_barriers=*/false, {}, ctx,
+                        "sched");
+    load(m);
+    m.run();
+    EXPECT_EQ(m.result("A"), want);
+    EXPECT_EQ(m.comm_stats().sched_builds, builds);
+    EXPECT_EQ(m.comm_stats().sched_hits, hits);
+    if (run == 0) shared_stats = m.stats().str();
+    EXPECT_EQ(m.stats().str(), shared_stats);
+  }
+}
+
+TEST(EngineContext, MachineKindsLeaseSeparatePlanPools) {
+  // Each machine kind attaches its own schedule type to plan-cache
+  // entries, so a cache parked by one kind never reaches the other.
+  auto ctx = std::make_shared<rt::EngineContext>();
+  spmd::PlanCache* shared = ctx->acquire_plans("shared", "s");
+  ctx->release_plans(shared);
+  spmd::PlanCache* dist = ctx->acquire_plans("dist", "s");
+  EXPECT_NE(dist, shared);
+  ctx->release_plans(dist);
+  spmd::PlanCache* again = ctx->acquire_plans("shared", "s");
+  EXPECT_EQ(again, shared);
+  ctx->release_plans(again);
+
+  // Through the machines: shared runs leave gather schedules in their
+  // warm cache; a dist run on the same scope must not replay them.
+  spmd::Program prog = lang::compile(kHalo3);
+  rt::DistMachine direct(prog);
+  direct.load("B", ramp(32));
+  direct.run();
+  auto machines = std::make_shared<rt::EngineContext>();
+  for (int run = 0; run < 3; ++run) {
+    rt::SharedMachine m(prog, {}, {}, /*elide_barriers=*/false, {},
+                        machines, "halo");
+    m.load("B", ramp(32));
+    m.run();
+    EXPECT_EQ(m.result("A"), direct.gather("A"));
+  }
+  rt::DistMachine m(prog, {}, {}, {}, machines, "halo");
+  m.load("B", ramp(32));
+  m.run();
+  EXPECT_EQ(m.gather("A"), direct.gather("A"));
+  EXPECT_EQ(m.stats().str(), direct.stats().str());
 }
 
 // ---- served execution ------------------------------------------------
@@ -313,6 +473,21 @@ TEST(Serve, ChangedBuildOptionsOrDecompositionMissesTheCache) {
   EXPECT_EQ(fx.server.stats().compiles, 3);
 }
 
+TEST(Serve, OneProgramRunsOnSharedThenDistInOneSession) {
+  ServeFixture fx;
+  spmd::Program prog = lang::compile(kHalo3);
+  rt::DistMachine direct(prog);
+  direct.load("B", ramp(32));
+  direct.run();
+  for (serve::Target t : {serve::Target::Shared, serve::Target::Shared,
+                          serve::Target::Dist, serve::Target::Dist}) {
+    serve::RunResult r = fx.client.run(make_req(kHalo3, t));
+    ASSERT_EQ(r.status, serve::Status::Ok) << r.error;
+    ASSERT_EQ(r.stores.size(), 1u);
+    EXPECT_EQ(r.stores[0].second, direct.gather("A"));
+  }
+}
+
 TEST(Serve, EngineOptionsShareTheCompiledProgram) {
   // Engine knobs never change the compiled program, so they are not in
   // the cache key: the second request hits even with different knobs —
@@ -321,7 +496,7 @@ TEST(Serve, EngineOptionsShareTheCompiledProgram) {
   serve::RunResult a = fx.client.run(make_req(kRotate));
   serve::RunRequest req = make_req(kRotate);
   req.engine.threads = 1;
-  req.engine.compiled_kernels = false;
+  req.engine.comm_schedules = false;
   req.engine.jit = false;
   serve::RunResult b = fx.client.run(std::move(req));
   ASSERT_EQ(b.status, serve::Status::Ok) << b.error;

@@ -312,8 +312,6 @@ TEST(PlanCache, EpochBumpInvalidatesAndRebuildsAgainstNewLayout) {
   prog::Clause c = simple_clause(0, 30);
   PlanCache cache;
 
-  // Rebuilding on an epoch mismatch overwrites the cache entry, so take
-  // the block-layout schedule's rendering before invalidating.
   std::string block_schedule = cache.get(c, arrays)
                                    .modify_space(0)
                                    .dim(0)
@@ -332,6 +330,20 @@ TEST(PlanCache, EpochBumpInvalidatesAndRebuildsAgainstNewLayout) {
   cache.get(c, arrays);  // same epoch again: a hit
   EXPECT_EQ(cache.hits(), 2);
   EXPECT_EQ(cache.epoch(), 1u);
+
+  // The next holder of a warm cache replays the same redistribution:
+  // after a rewind, each epoch's lookup hits the plan built for that
+  // epoch's layout.
+  ArrayTable block = one_d_arrays(32, 4);
+  cache.rewind();
+  EXPECT_EQ(cache.epoch(), 0u);
+  EXPECT_EQ(cache.get(c, block).modify_space(0).dim(0).str(),
+            block_schedule);
+  cache.bump_epoch();
+  EXPECT_EQ(&cache.get(c, arrays), &after);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 4);
+  EXPECT_EQ(cache.size(), 2);
 }
 
 }  // namespace

@@ -62,12 +62,6 @@ inline const std::vector<FlagSection>& sections() {
             "tagged message matching every step\n"
             "instead of compiled communication\n"
             "schedules (inspector/executor)"},
-           {"--keyed-channels", FlagSpec::kNone, "",
-            "hash-indexed message matching instead of\n"
-            "packed binary search (dist target)"},
-           {"--no-compiled-kernels", FlagSpec::kNone, "",
-            "tree-walking interpreter instead of\n"
-            "compiled clause kernels"},
            {"--no-jit", FlagSpec::kNone, "",
             "never swap hot clause plans to natively\n"
             "compiled code; keep the bytecode kernels\n"
