@@ -68,7 +68,9 @@ EventKind end_of(EventKind k) {
 }
 
 RankTrace::RankTrace(i64 capacity)
-    : ring_(static_cast<std::size_t>(capacity < 1 ? 1 : capacity)) {}
+    : capacity_(static_cast<std::size_t>(capacity < 1 ? 1 : capacity)) {
+  ring_.reserve(capacity_);
+}
 
 const TraceEvent* RankTrace::last() const noexcept {
   if (recorded_ == 0) return nullptr;

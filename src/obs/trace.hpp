@@ -108,19 +108,24 @@ struct TraceEvent {
 };
 
 /// One lane's ring buffer. Single writer; capacity is fixed at
-/// construction and recording never allocates. When full, the oldest
-/// event is overwritten and counted as dropped.
+/// construction and recording never allocates: the storage is reserved
+/// up front but filled on demand, so an untouched lane costs no page
+/// faults. When full, the oldest event is overwritten and counted as
+/// dropped.
 class RankTrace {
  public:
   explicit RankTrace(i64 capacity);
 
   void record(const TraceEvent& e) noexcept {
-    ring_[head_] = e;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    if (ring_.size() < capacity_)
+      ring_.push_back(e);  // within the reservation: never reallocates
+    else
+      ring_[head_] = e;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++recorded_;
   }
 
-  i64 capacity() const noexcept { return static_cast<i64>(ring_.size()); }
+  i64 capacity() const noexcept { return static_cast<i64>(capacity_); }
   i64 recorded() const noexcept { return recorded_; }
   i64 size() const noexcept {
     return recorded_ < capacity() ? recorded_ : capacity();
@@ -146,6 +151,7 @@ class RankTrace {
   }
 
  private:
+  std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;  // next write slot
   i64 recorded_ = 0;      // total ever recorded, including overwritten

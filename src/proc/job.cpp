@@ -10,7 +10,10 @@ namespace vcal::proc {
 
 namespace {
 constexpr std::uint32_t kJobMagic = 0x4a4c4356;  // "VCLJ"
-constexpr std::uint32_t kJobVersion = 2;
+// Bumped whenever the job or the worker's control frames change shape,
+// so a stale worker binary refuses the job instead of misreading
+// frames (3: STEP carries PathCounters).
+constexpr std::uint32_t kJobVersion = 3;
 
 void put_build(WireWriter& w, const gen::BuildOptions& b) {
   w.put_u8(static_cast<std::uint8_t>(b.bs_form));
@@ -162,6 +165,24 @@ rt::RankCounters get_rank_counters(WireReader& r) {
   c.halo_bulk = r.get_i64();
   c.halo_values = r.get_i64();
   c.halo_reads = r.get_i64();
+  return c;
+}
+
+void put_path_counters(WireWriter& w, const rt::PathCounters& c) {
+  w.put_i64(c.fused);
+  w.put_i64(c.generic);
+  w.put_i64(c.interp);
+  w.put_i64(c.sched);
+  w.put_i64(c.jit);
+}
+
+rt::PathCounters get_path_counters(WireReader& r) {
+  rt::PathCounters c;
+  c.fused = r.get_i64();
+  c.generic = r.get_i64();
+  c.interp = r.get_i64();
+  c.sched = r.get_i64();
+  c.jit = r.get_i64();
   return c;
 }
 

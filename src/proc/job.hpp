@@ -51,5 +51,7 @@ struct WireReader;
 /// STEP-frame helpers shared by worker (encode) and launcher (decode).
 void put_rank_counters(WireWriter& w, const rt::RankCounters& c);
 rt::RankCounters get_rank_counters(WireReader& r);
+void put_path_counters(WireWriter& w, const rt::PathCounters& c);
+rt::PathCounters get_path_counters(WireReader& r);
 
 }  // namespace vcal::proc

@@ -164,30 +164,6 @@ void ProcMachine::cleanup_dir() {
   dir_.clear();
 }
 
-void ProcMachine::finish_step(
-    const std::vector<rt::RankCounters>& counters) {
-  double slowest = 0.0;
-  i64 halo_bulk = 0, halo_values = 0;
-  for (const rt::RankCounters& c : counters) {
-    stats_.messages += c.sends;
-    stats_.bulk_messages += c.bulk_sends;
-    stats_.local_reads += c.local_reads;
-    stats_.remote_reads += c.remote_reads;
-    stats_.iterations += c.iterations;
-    stats_.tests += c.tests;
-    halo_bulk += c.halo_bulk;
-    halo_values += c.halo_values;
-    stats_.halo_reads += c.halo_reads;
-    slowest = std::max(slowest, c.time(cost_));
-  }
-  // Both endpoints count each halo exchange; the aggregate counts once.
-  stats_.halo_messages += halo_bulk / 2;
-  stats_.halo_values += halo_values / 2;
-  stats_.sim_time += slowest;
-  ++stats_.steps;
-  last_counters_ = counters;
-}
-
 void ProcMachine::merge_step(i64 step,
                              std::vector<rt::RankCounters> counters) {
   const spmd::Step& st = program_.steps[static_cast<std::size_t>(step)];
@@ -218,7 +194,8 @@ void ProcMachine::merge_step(i64 step,
     stats_.redist_messages += static_cast<i64>(plan.moves.size());
     program_.arrays.insert_or_assign(rs.array, rs.new_desc);
   }
-  finish_step(counters);
+  rt::fold_step(stats_, counters, cost_);
+  last_counters_ = std::move(counters);
 }
 
 void ProcMachine::run() {
@@ -323,6 +300,7 @@ void ProcMachine::run() {
         StepFrame sf;
         sf.step = r.get_i64();
         sf.counters = get_rank_counters(r);
+        sf.paths = get_path_counters(r);
         const std::uint32_t n = r.get_u32();
         require(static_cast<i64>(n) == procs,
                 "proc: STEP matrix row has the wrong width");
@@ -480,6 +458,7 @@ void ProcMachine::run() {
         rs.steps.pop_front();
         require(sf.step == merged, "proc: out-of-order STEP frame");
         counters[static_cast<std::size_t>(r)] = sf.counters;
+        paths_ += sf.paths;
         for (i64 d = 0; d < procs; ++d)
           message_matrix_[static_cast<std::size_t>(r)]
                          [static_cast<std::size_t>(d)] +=

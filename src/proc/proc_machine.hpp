@@ -6,7 +6,7 @@
 // --rank N --channel-dir PATH`). Ranks exchange clause messages over
 // mmap'd shared-memory ring channels and report per-step counters over
 // a Unix-domain-socket control plane; the launcher replays the
-// simulator's deterministic merge (DistMachine::finish_step) over the
+// simulator's deterministic merge (rt::fold_step) over the
 // reported counters, so a correct backend produces bit-identical
 // DistStats, message matrices, and gathered stores. The conformance
 // oracle's `proc` axis pins exactly that.
@@ -84,6 +84,9 @@ class ProcMachine {
   const rt::DistStats& stats() const noexcept { return stats_; }
   i64 procs() const noexcept { return program_.procs; }
   i64 faults_applied() const noexcept { return faults_applied_; }
+  /// Per-element execution-path tally summed over every rank's STEP
+  /// frames (see DistMachine::path_counters). Reporting only.
+  const rt::PathCounters& path_counters() const noexcept { return paths_; }
   i64 stall_rounds_served() const noexcept { return stall_rounds_; }
   const std::vector<rt::RankCounters>& last_step_counters() const noexcept {
     return last_counters_;
@@ -110,6 +113,7 @@ class ProcMachine {
   struct StepFrame {
     i64 step = 0;
     rt::RankCounters counters;
+    rt::PathCounters paths;
     std::vector<i64> matrix_row;
     i64 faults_delta = 0;
   };
@@ -118,7 +122,6 @@ class ProcMachine {
   void prepare_dir();
   void cleanup_dir();
   void merge_step(i64 step, std::vector<rt::RankCounters> counters);
-  void finish_step(const std::vector<rt::RankCounters>& counters);
 
   std::string source_;
   spmd::Program program_;  // arrays table evolves across redistributions
@@ -142,6 +145,7 @@ class ProcMachine {
   std::vector<std::vector<i64>> message_matrix_;
   i64 faults_applied_ = 0;
   i64 stall_rounds_ = 0;
+  rt::PathCounters paths_;
   std::vector<std::map<std::string, std::vector<double>>> rank_rows_;
   std::vector<RankTraceDump> traces_;
 };

@@ -1,28 +1,28 @@
 // Rank worker of the multi-process backend.
 //
-// The worker runs the tagged interpreter path of the SPMD template —
-// the same phase structure as DistMachine::run_clause, with the in-
-// process channel array replaced by the mmap'd rings. The engine's
-// bit-identity invariant (every engine configuration produces identical
-// stores, DistStats, and message matrices; pinned by the conformance
-// oracle) is what makes this sufficient: a worker that reproduces the
-// interpreter's observables reproduces every configuration's.
+// The worker runs one rank of the SPMD clause template through the same
+// rank-step the simulator runs (rt/rank_step.hpp): the bytecode kernel,
+// the fused strided loops, the counters and the deadlock diagnostic are
+// shared code, and only the channel transport differs — the simulator's
+// in-process channel array becomes the mmap'd rings here.
 //
 // Per clause step, rank p:
 //   0. computes its outgoing halo values (push model: the owner
 //      enumerates every reader's halo region — the same enumeration the
 //      reader performs — and ships the values it owns, so both sides
 //      agree on stream order without a request round-trip);
-//   1. enumerates Reside_p \ Modify_p and queues one CLAUSE frame per
-//      destination with the (tag, value) pairs in arrival order;
+//   1. runs rt::send_phase into one channel per destination and queues
+//      each packed channel as one CLAUSE frame of (tag, value) slots;
 //   2. pumps the rings — interleaving partial writes with opportunistic
 //      reads so frames larger than a ring never head-of-line deadlock —
 //      until everything queued is sent and every expected frame arrived;
-//   3. reconstructs each incoming Channel (push + pack, a pure function
-//      of arrival order), applies any armed message faults addressed to
-//      it, and runs the Modify_p receive/update loop;
-//   4. reports its RankCounters, message-matrix row delta, and applied
-//      faults in one STEP control frame.
+//   3. rebuilds each incoming Channel, applies any armed message faults
+//      addressed to it, and runs rt::update_phase;
+//   4. reports its RankCounters, PathCounters, message-matrix row delta,
+//      and applied faults in one STEP control frame.
+//
+// Schedule replay and the per-clause JIT stay simulator-only: workers
+// always run the tagged path on the bytecode kernel.
 //
 // Redistribution steps move only values: every counter is derivable
 // from the old/new descriptors, so the launcher recomputes and verifies
@@ -42,8 +42,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "decomp/array_desc.hpp"
@@ -55,6 +55,7 @@
 #include "proc/wire.hpp"
 #include "rt/channel.hpp"
 #include "rt/cost_model.hpp"
+#include "rt/rank_step.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
 #include "support/error.hpp"
@@ -347,11 +348,12 @@ class Worker {
     }
   }
 
-  void send_step(const RankCounters& rc, const std::vector<i64>& matrix_row,
-                 i64 faults_delta) {
+  void send_step(const RankCounters& rc, const rt::PathCounters& pc,
+                 const std::vector<i64>& matrix_row, i64 faults_delta) {
     WireWriter w;
     w.put_i64(step_);
     put_rank_counters(w, rc);
+    put_path_counters(w, pc);
     w.put_u32(static_cast<std::uint32_t>(matrix_row.size()));
     for (i64 v : matrix_row) w.put_i64(v);
     w.put_i64(faults_delta);
@@ -382,192 +384,103 @@ class Worker {
     const i64 p = rank_;
     begin_step();
 
-    std::vector<const FaultPlan*> active_faults;
-    for (const FaultPlan& f : job_.faults)
-      if (f.step == step_ && f.kind != FaultPlan::Kind::None)
-        active_faults.push_back(&f);
-
     std::optional<ClausePlan> uncached;
     const ClausePlan& plan = plan_for(clause, uncached);
-    const decomp::ArrayDesc& lhs = plan.lhs_desc();
     const int nrefs = static_cast<int>(clause.refs.size());
 
     // Copy-in snapshot of this rank's row when the clause reads its own
     // target: senders and local reads must observe pre-clause values.
-    bool lhs_read = false;
-    for (const prog::ArrayRef& r : clause.refs)
-      if (r.array == clause.lhs_array) lhs_read = true;
     std::optional<std::vector<double>> snap;
-    if (lhs_read) snap = rows_.at(clause.lhs_array);
-
-    auto ref_row = [&](int r) -> const std::vector<double>& {
-      const std::string& name =
-          clause.refs[static_cast<std::size_t>(r)].array;
-      if (snap && name == clause.lhs_array) return *snap;
-      return rows_.at(name);
-    };
-    auto read_row = [&](const std::vector<double>& row, i64 local,
-                        int r) -> double {
-      if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-        throw RuntimeFault(
-            "local read out of bounds on " +
-            clause.refs[static_cast<std::size_t>(r)].array);
-      return row[static_cast<std::size_t>(local)];
-    };
+    if (rt::reads_own_target(clause)) snap = rows_.at(clause.lhs_array);
 
     RankCounters rc;
-    std::vector<i64> matrix_row(static_cast<std::size_t>(procs_), 0);
+    rt::PathCounters pc;
+    rt::RankStep s{.clause = &clause, .plan = &plan, .rank = p,
+                   .step_id = step_, .counters = &rc, .paths = &pc,
+                   .tracer = tr};
+    for (int r = 0; r < nrefs; ++r) {
+      const std::string& name = clause.refs[static_cast<std::size_t>(r)].array;
+      s.rows.push_back(snap && name == clause.lhs_array ? &*snap
+                                                         : &rows_.at(name));
+    }
+    s.halos.assign(static_cast<std::size_t>(nrefs), nullptr);
 
     // ---- Phase 0: halo exchange (push model) -------------------------
-    // halo_cache[name][g] caches this rank's boundary copies. needs_
-    // records, in enumeration order, which stream each remote value
-    // arrives on; halo_out collects what this rank owes each reader.
+    // Every rank replays the simulator's halo enumeration for every
+    // reader: it takes the reader role when q == p (counting the
+    // reader-side increments and recording which stream each remote
+    // value arrives on) and the owner role when owner == p (counting the
+    // owner-side increments and shipping the value). Both sides agree
+    // on stream order without a request round-trip.
     VCAL_TRACE(tr, 0, obs::EventKind::HaloBegin, step_);
-    std::map<std::string, std::map<i64, double>> halo_cache;
+    std::unordered_map<std::string, rt::HaloCopy> halo;
     struct Need {
-      const std::string* name;
+      rt::HaloCopy* copy;
       i64 g;
       i64 src;
     };
     std::vector<Need> needs;
-    std::vector<std::vector<Slot>> halo_out(
-        static_cast<std::size_t>(procs_));
-    bool clause_has_halo = false;
-    std::set<std::string> halo_done;
+    std::vector<std::vector<Slot>> halo_out(static_cast<std::size_t>(procs_));
     for (int r = 0; r < nrefs; ++r) {
       const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      if (rd.halo() == 0 || halo_done.count(rd.name())) continue;
-      halo_done.insert(rd.name());
-      clause_has_halo = true;
-      halo_cache[rd.name()];  // refreshed this clause, even if empty
+      if (rd.halo() == 0) continue;
+      auto [it, fresh] = halo.try_emplace(rd.name());
+      rt::HaloCopy& copy = it->second;
+      s.halos[static_cast<std::size_t>(r)] = &copy;
+      if (!fresh) continue;
+      const std::vector<double>& row = *s.rows[static_cast<std::size_t>(r)];
       auto own_value = [&](i64 g) {
-        const std::string& name =
-            clause.refs[static_cast<std::size_t>(r)].array;
-        const std::vector<double>& row =
-            (snap && name == clause.lhs_array) ? *snap : rows_.at(name);
         i64 local = rd.local_linear({g});
         if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-          throw RuntimeFault("local read out of bounds on " + name);
+          throw RuntimeFault("local read out of bounds on " + rd.name());
         return row[static_cast<std::size_t>(local)];
       };
-      // The same (reader, side, g) enumeration the simulator's
-      // refresh_halos performs, replayed for every reader: this rank
-      // takes the reader role when q == p (counting its reader-side
-      // bulk/value increments and recording what it must consume) and
-      // the owner role when owner == p (counting the owner-side merged
-      // increments and shipping the value).
-      for (i64 q = 0; q < procs_; ++q) {
-        for (int side : {-1, 1}) {
-          auto [hlo, hhi] = rd.halo_range(q, side);
-          if (hlo > hhi) continue;
-          i64 prev_owner = -1;
-          for (i64 g = hlo; g <= hhi; ++g) {
-            i64 owner = rd.owner({g});
-            const bool transition = owner != prev_owner;
-            prev_owner = owner;
-            if (owner == p) {
-              if (transition) ++rc.halo_bulk;
-              ++rc.halo_values;
-            }
-            if (q == p) {
-              if (transition) ++rc.halo_bulk;
-              ++rc.halo_values;
-              if (owner == p)
-                halo_cache[rd.name()][g] = own_value(g);
-              else
-                needs.push_back(Need{&rd.name(), g, owner});
-            } else if (owner == p) {
-              halo_out[static_cast<std::size_t>(q)].push_back(
-                  value_slot(own_value(g)));
-            }
+      for (i64 q = 0; q < procs_; ++q)
+        rt::for_each_halo_element(rd, q, [&](i64 g, i64 owner, bool new_bulk) {
+          if (owner == p) {
+            if (new_bulk) ++rc.halo_bulk;
+            ++rc.halo_values;
           }
-        }
-      }
+          if (q == p) {
+            if (new_bulk) ++rc.halo_bulk;
+            ++rc.halo_values;
+            if (owner == p)
+              copy[g] = own_value(g);
+            else
+              needs.push_back(Need{&copy, g, owner});
+          } else if (owner == p) {
+            halo_out[static_cast<std::size_t>(q)].push_back(
+                value_slot(own_value(g)));
+          }
+        });
     }
 
     // ---- Phase 1: non-blocking sends (Reside_p \ Modify_p) -----------
-    VCAL_TRACE(tr, 0, obs::EventKind::SendBegin, step_);
-    auto halo_covers = [&](const decomp::ArrayDesc& rd, i64 rank,
-                           const std::vector<i64>& idx) {
-      return rd.halo() > 0 && halo_done.count(rd.name()) &&
-             rd.in_halo(rank, idx);
-    };
-    std::vector<std::vector<std::pair<i64, double>>> out_msgs(
-        static_cast<std::size_t>(procs_));
-    std::vector<i64> ridx, out_idx;
-    for (int r = 0; r < nrefs; ++r) {
-      if (!plan.ref_needs_comm(r)) continue;  // replicated: always local
-      gen::EnumStats es;
-      const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      const std::vector<double>& row = ref_row(r);
-      const spmd::IterationSpace& space = plan.reside_space(p, r);
-      space.for_each(
-          [&](const std::vector<i64>& vals) {
-            plan.ref_index_into(r, vals, ridx);
-            if (!rd.in_bounds(ridx))
-              throw RuntimeFault(
-                  "read out of bounds on " +
-                  clause.refs[static_cast<std::size_t>(r)].array);
-            i64 local = rd.local_linear(ridx);
-            double value = read_row(row, local, r);
-            i64 tag = plan.message_tag(r, vals);
-            if (lhs.is_replicated()) {
-              for (i64 dst = 0; dst < procs_; ++dst) {
-                if (dst == p) continue;
-                if (halo_covers(rd, dst, ridx)) continue;
-                out_msgs[static_cast<std::size_t>(dst)].emplace_back(tag,
-                                                                     value);
-                ++rc.sends;
-                ++matrix_row[static_cast<std::size_t>(dst)];
-              }
-            } else {
-              plan.lhs_index_into(vals, out_idx);
-              if (!lhs.in_bounds(out_idx)) return;
-              i64 dst = lhs.owner(out_idx);
-              if (dst == p) return;
-              if (halo_covers(rd, dst, ridx)) return;
-              out_msgs[static_cast<std::size_t>(dst)].emplace_back(tag,
-                                                                   value);
-              ++rc.sends;
-              ++matrix_row[static_cast<std::size_t>(dst)];
-            }
-          },
-          &es);
-      rc.iterations += es.loop_iters;
-      rc.tests += es.tests;
-    }
-    for (i64 dst = 0; dst < procs_; ++dst) {
-      if (dst == p) continue;
-      if (!out_msgs[static_cast<std::size_t>(dst)].empty())
-        ++rc.bulk_sends;
-    }
+    std::vector<Channel> out(static_cast<std::size_t>(procs_));
+    std::vector<i64> matrix_row(static_cast<std::size_t>(procs_), 0);
+    rt::send_phase(s, rt::ChannelRow{out.data(), 1}, matrix_row);
     // One CLAUSE frame per destination — sent even when empty, so a
     // missing message manifests exactly as in the simulator (an absent
     // tag in a delivered channel), never as a transport hang.
     for (i64 dst = 0; dst < procs_; ++dst) {
       if (dst == p) continue;
-      if (clause_has_halo)
+      if (!halo.empty())
         queue_frame(dst, FrameKind::Halo,
                     halo_out[static_cast<std::size_t>(dst)]);
       std::vector<Slot> payload;
-      payload.reserve(out_msgs[static_cast<std::size_t>(dst)].size());
-      for (const auto& [tag, value] : out_msgs[static_cast<std::size_t>(dst)])
+      payload.reserve(out[static_cast<std::size_t>(dst)].msgs.size());
+      for (const auto& [tag, value] : out[static_cast<std::size_t>(dst)].msgs)
         payload.push_back(clause_slot(tag, value));
-      if (!payload.empty())
-        VCAL_TRACE(tr, 0, obs::EventKind::MsgSend, step_, dst,
-                   static_cast<i64>(payload.size()));
       queue_frame(dst, FrameKind::Clause, payload);
-      peers_[static_cast<std::size_t>(dst)].expect =
-          clause_has_halo ? 2 : 1;
+      peers_[static_cast<std::size_t>(dst)].expect = halo.empty() ? 1 : 2;
     }
-    VCAL_TRACE(tr, 0, obs::EventKind::SendEnd, step_);
 
     pump();
 
-    // Fill the halo cache from the per-source streams (arrival order ==
+    // Fill the halo copies from the per-source streams (arrival order ==
     // the shared enumeration order restricted to each owner).
     std::vector<InFrame> halo_in(static_cast<std::size_t>(procs_));
-    if (clause_has_halo)
+    if (!halo.empty())
       for (i64 src = 0; src < procs_; ++src) {
         if (src == p) continue;
         halo_in[static_cast<std::size_t>(src)] =
@@ -579,146 +492,35 @@ class Worker {
       std::size_t& c = cursor[static_cast<std::size_t>(need.src)];
       require(c < f.payload.size(),
               "proc worker: halo stream underflow (protocol bug)");
-      halo_cache[*need.name][need.g] = slot_value(f.payload[c++]);
+      (*need.copy)[need.g] = slot_value(f.payload[c++]);
     }
     VCAL_TRACE(tr, 0, obs::EventKind::HaloEnd, step_);
 
-    // Reconstruct the incoming channels: push in arrival order + pack()
-    // reproduces the simulator's packed channel state bit-for-bit.
-    std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
+    // Rebuild the incoming channels: the sender shipped its packed
+    // channel, so push + pack() reproduces it bit for bit.
+    std::vector<Channel> in(static_cast<std::size_t>(procs_));
     for (i64 src = 0; src < procs_; ++src) {
-      Channel& ch = in_ch[static_cast<std::size_t>(src)];
       if (src == p) continue;
-      InFrame f = take_frame(src, FrameKind::Clause);
-      for (const Slot& s : f.payload)
-        ch.push(slot_tag(s), slot_value(s));
+      Channel& ch = in[static_cast<std::size_t>(src)];
+      for (const Slot& sl : take_frame(src, FrameKind::Clause).payload)
+        ch.push(slot_tag(sl), slot_value(sl));
       ch.pack();
     }
     // Armed message faults addressed to this rank perturb the packed
     // channels, in injection order — the simulator's serial fault loop
     // restricted to dst == p.
     i64 faults_delta = 0;
-    for (const FaultPlan* f : active_faults) {
-      if (f->dst != p) continue;
-      if (!in_range(f->src, 0, procs_ - 1) ||
-          !in_range(f->dst, 0, procs_ - 1))
-        continue;
-      Channel& ch = in_ch[static_cast<std::size_t>(f->src)];
-      bool applied = false;
-      switch (f->kind) {
-        case FaultPlan::Kind::DropMessage: applied = ch.drop(f->index); break;
-        case FaultPlan::Kind::DuplicateMessage:
-          applied = ch.duplicate(f->index);
-          break;
-        case FaultPlan::Kind::ReorderChannel: applied = ch.reorder(); break;
-        default: break;
-      }
-      if (applied) ++faults_delta;
-    }
-    // Receiver-side bulk accounting, after faults (a drop can empty a
-    // channel) — the simulator's ordering.
-    for (i64 src = 0; src < procs_; ++src)
-      if (!in_ch[static_cast<std::size_t>(src)].msgs.empty()) {
-        ++rc.bulk_receives;
-        VCAL_TRACE(tr, 0, obs::EventKind::MsgRecv, step_, src,
-                   static_cast<i64>(
-                       in_ch[static_cast<std::size_t>(src)].msgs.size()));
-      }
+    for (const FaultPlan& f : job_.faults)
+      if (f.step == step_ && f.dst == p && in_range(f.src, 0, procs_ - 1) &&
+          rt::apply_message_fault(f, in[static_cast<std::size_t>(f.src)]))
+        ++faults_delta;
 
     // ---- Phase 2: receive and update (Modify_p) ----------------------
-    VCAL_TRACE(tr, 0, obs::EventKind::ClauseBegin, step_);
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] = &ref_row(r);
-    std::vector<double>& out_row = rows_.at(clause.lhs_array);
-    gen::EnumStats es;
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    space.for_each(
-        [&](const std::vector<i64>& vals) {
-          plan.lhs_index_into(vals, out_idx);
-          if (!lhs.in_bounds(out_idx))
-            throw RuntimeFault("write out of bounds on " +
-                               clause.lhs_array);
-          for (int r = 0; r < nrefs; ++r) {
-            const decomp::ArrayDesc& rd = plan.ref_desc(r);
-            plan.ref_index_into(r, vals, ridx);
-            if (!rd.in_bounds(ridx))
-              throw RuntimeFault(
-                  "read out of bounds on " +
-                  clause.refs[static_cast<std::size_t>(r)].array);
-            const std::vector<double>& row =
-                *rows[static_cast<std::size_t>(r)];
-            if (rd.is_replicated()) {
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, rd.local_linear(ridx), r);
-              ++rc.local_reads;
-              continue;
-            }
-            i64 src = rd.owner(ridx);
-            if (src == p) {
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, rd.local_linear(ridx), r);
-              ++rc.local_reads;
-            } else if (halo_covers(rd, p, ridx)) {
-              const auto& cache = halo_cache.at(rd.name());
-              auto hit = cache.find(ridx[0]);
-              require(hit != cache.end(),
-                      "halo cache missing a covered element");
-              ref_values[static_cast<std::size_t>(r)] = hit->second;
-              ++rc.halo_reads;
-            } else {
-              i64 tag = plan.message_tag(r, vals);
-              Channel& ch = in_ch[static_cast<std::size_t>(src)];
-              const double* value = ch.consume(tag);
-              if (value == nullptr) {
-                std::string elem =
-                    clause.refs[static_cast<std::size_t>(r)].array + "[";
-                for (std::size_t d = 0; d < ridx.size(); ++d)
-                  elem += cat(d ? ", " : "", ridx[d]);
-                elem += "]";
-                std::string diag = cat(
-                    "deadlock: rank ", p,
-                    " blocked on pending receive of ", elem, " (tag ", tag,
-                    ") from rank ", src,
-                    ", which never sent it — inconsistent schedules or a "
-                    "lost message");
-                if (tr) {
-                  diag += cat("; last traced event on rank ", p, ": ",
-                              tr->last_event_str(0));
-                  tr->record(0, obs::EventKind::RecvWait, step_, src, tag);
-                }
-                throw DeadlockError(diag);
-              }
-              ref_values[static_cast<std::size_t>(r)] = *value;
-              ++rc.receives;
-              ++rc.remote_reads;
-            }
-          }
-          if (clause.guard && !clause.guard->holds(ref_values, vals))
-            return;
-          double value = prog::eval(clause.rhs, ref_values, vals);
-          i64 slot = lhs.local_linear(out_idx);
-          if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
-            throw RuntimeFault("local write out of bounds on " +
-                               clause.lhs_array);
-          out_row[static_cast<std::size_t>(slot)] = value;
-        },
-        &es);
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-    VCAL_TRACE(tr, 0, obs::EventKind::ClauseEnd, step_);
+    const rt::ChannelRow in_row{in.data(), 1};
+    rt::update_phase(s, in_row, rows_.at(clause.lhs_array), nullptr);
+    rt::check_delivered(p, in_row, procs_);
 
-    // Message-pairing invariant for this rank's incoming traffic.
-    i64 leftover = 0;
-    for (i64 src = 0; src < procs_; ++src)
-      leftover += in_ch[static_cast<std::size_t>(src)].undelivered();
-    if (leftover > 0)
-      throw RuntimeFault(cat("rank ", p, " finished the clause with ",
-                             leftover, " undelivered messages"));
-
-    send_step(rc, matrix_row, faults_delta);
+    send_step(rc, pc, matrix_row, faults_delta);
   }
 
   // ---- redistribution steps ------------------------------------------
@@ -800,7 +602,7 @@ class Worker {
     program_.arrays.insert_or_assign(step.array, new_desc);
     cache_.bump_epoch();
     VCAL_TRACE(tr, 0, obs::EventKind::RedistEnd, step_);
-    send_step(rc, matrix_row, 0);
+    send_step(rc, {}, matrix_row, 0);
   }
 
   i64 rank_ = 0;

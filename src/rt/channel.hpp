@@ -1,9 +1,9 @@
-// The per-(src,dst) bulk message channel shared by the in-process
-// simulator (DistMachine) and the multi-process backend's worker
-// (src/proc/worker.cpp). The proc worker reconstructs each channel from
-// the (tag, value) pairs received over the ring transport in arrival
-// order, so pack()/consume() semantics — and therefore every counter —
-// stay bit-identical across backends by construction.
+// The per-(src,dst) bulk message channel of the SPMD rank-step
+// (rt/rank_step.hpp), shared by the in-process simulator (DistMachine)
+// and the multi-process backend's worker (src/proc/worker.cpp). The
+// worker ships each packed channel over the ring transport and the
+// receiver rebuilds it with push() + pack(), so consume() semantics —
+// and therefore every counter — stay bit-identical across backends.
 #pragma once
 
 #include <algorithm>

@@ -6,7 +6,7 @@
 
 #include "decomp/redistribute.hpp"
 #include "obs/metrics.hpp"
-#include "rt/channel.hpp"
+#include "rt/rank_step.hpp"
 #include "spmd/comm_schedule.hpp"
 #include "spmd/kernel.hpp"
 #include "support/error.hpp"
@@ -63,18 +63,8 @@ void DistMachine::run() {
   }
 }
 
-void DistMachine::for_ranks(i64 n, const std::function<void(i64)>& body) {
-  if (engine_.threads == 1) {
-    for (i64 r = 0; r < n; ++r) body(r);
-    return;
-  }
-  support::ThreadPool& pool =
-      pool_ ? *pool_ : support::ThreadPool::shared();
-  pool.parallel_for_ranks(n, body);
-}
-
 template <typename F>
-void DistMachine::for_ranks_t(i64 n, F&& body) {
+void DistMachine::for_ranks(i64 n, F&& body) {
   if (engine_.threads == 1) {
     for (i64 r = 0; r < n; ++r) body(r);
     return;
@@ -84,42 +74,48 @@ void DistMachine::for_ranks_t(i64 n, F&& body) {
   pool.parallel_for_ranks(n, body);
 }
 
-void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
+void fold_step(DistStats& stats, const std::vector<RankCounters>& counters,
+               const CostModel& cost) {
   double slowest = 0.0;
   i64 halo_bulk = 0, halo_values = 0;
-  i64 iters = 0, tests = 0, transfers = 0, bulk = 0;
   for (const RankCounters& c : counters) {
-    stats_.messages += c.sends;
-    stats_.bulk_messages += c.bulk_sends;
-    stats_.local_reads += c.local_reads;
-    stats_.remote_reads += c.remote_reads;
-    stats_.iterations += c.iterations;
-    stats_.tests += c.tests;
+    stats.messages += c.sends;
+    stats.bulk_messages += c.bulk_sends;
+    stats.local_reads += c.local_reads;
+    stats.remote_reads += c.remote_reads;
+    stats.iterations += c.iterations;
+    stats.tests += c.tests;
     halo_bulk += c.halo_bulk;
     halo_values += c.halo_values;
-    stats_.halo_reads += c.halo_reads;
-    slowest = std::max(slowest, c.time(cost_));
-    iters += c.iterations;
-    tests += c.tests;
-    transfers += c.sends + c.receives;
-    bulk += c.bulk_sends + c.bulk_receives;
+    stats.halo_reads += c.halo_reads;
+    slowest = std::max(slowest, c.time(cost));
   }
   // halo_bulk/halo_values are recorded on both endpoints; the aggregate
   // counts each exchange once.
-  stats_.halo_messages += halo_bulk / 2;
-  stats_.halo_values += halo_values / 2;
-  stats_.sim_time += slowest;
-  ++stats_.steps;
+  stats.halo_messages += halo_bulk / 2;
+  stats.halo_values += halo_values / 2;
+  stats.sim_time += slowest;
+  ++stats.steps;
+}
+
+void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
+  fold_step(stats_, counters, cost_);
   last_counters_ = counters;
   if (tracer_) {
     // Publish the cost-model clock and the step's aggregate predictors
     // on the control lane: the calibration fit's raw material.
+    i64 iters = 0, tests = 0, transfers = 0, bulk = 0;
+    for (const RankCounters& c : counters) {
+      iters += c.iterations;
+      tests += c.tests;
+      transfers += c.sends + c.receives;
+      bulk += c.bulk_sends + c.bulk_receives;
+    }
     tracer_->set_virtual_time(stats_.sim_time);
     tracer_->record(tracer_->control_lane(), obs::EventKind::StepCounters,
                     stats_.steps - 1, iters, tests, transfers, bulk);
   }
 }
-
 
 // Phase 0 of every clause (tagged or scheduled): every referenced array
 // with a halo gets its boundary copies refreshed with pre-clause values
@@ -128,7 +124,7 @@ void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
 // -> cached value. `snap` is the copy-in snapshot when the clause reads
 // its own target (senders must observe pre-clause values), else null.
 void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
-                                const std::vector<std::vector<double>>* snap,
+                                const Snapshot* snap,
                                 std::vector<RankCounters>& counters,
                                 HaloTable& halos, i64 step_id) {
   obs::Tracer* tr = tracer_;
@@ -164,24 +160,16 @@ void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
       RankCounters& rc = counters[static_cast<std::size_t>(p)];
       auto& ob = owner_bulk[static_cast<std::size_t>(p)];
       auto& ov = owner_values[static_cast<std::size_t>(p)];
-      for (int side : {-1, 1}) {
-        auto [hlo, hhi] = rd.halo_range(p, side);
-        if (hlo > hhi) continue;
-        i64 prev_owner = -1;
-        for (i64 g = hlo; g <= hhi; ++g) {
-          i64 owner = rd.owner({g});
-          double v = read_element(r, owner, rd.local_linear({g}));
-          table[static_cast<std::size_t>(p)][g] = v;
-          if (owner != prev_owner) {
-            // New bulk message from this owner to p.
-            ++ob[static_cast<std::size_t>(owner)];
-            ++rc.halo_bulk;
-            prev_owner = owner;
-          }
-          ++ov[static_cast<std::size_t>(owner)];
-          ++rc.halo_values;
+      HaloCopy& copy = table[static_cast<std::size_t>(p)];
+      for_each_halo_element(rd, p, [&](i64 g, i64 owner, bool new_bulk) {
+        copy[g] = read_element(r, owner, rd.local_linear({g}));
+        if (new_bulk) {
+          ++ob[static_cast<std::size_t>(owner)];
+          ++rc.halo_bulk;
         }
-      }
+        ++ov[static_cast<std::size_t>(owner)];
+        ++rc.halo_values;
+      });
       VCAL_TRACE(tr, p, obs::EventKind::HaloEnd, step_id);
     });
     VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/0);
@@ -197,44 +185,22 @@ void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
   }
 }
 
-const spmd::JitFns* DistMachine::jit_poll(const std::string& key,
-                                          const Clause& clause,
-                                          const spmd::ClauseKernel& kern,
-                                          spmd::JitState** js, i64 step_id) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  JitSlot& slot = jit_states_[key];
-  if (!ctx_->jit().available()) {
-    // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per clause key records that JIT was
-    // requested but cannot happen here.
-    if (!slot.no_toolchain_noted) {
-      slot.no_toolchain_noted = true;
-      ++jit_.fallbacks;
-    }
-    return nullptr;
+void DistMachine::bind_rows(const Clause& clause, const Snapshot* snap,
+                            const HaloTable& halos, i64 p,
+                            std::vector<const std::vector<double>*>& rows,
+                            std::vector<const HaloCopy*>& halo_rows) const {
+  rows.resize(clause.refs.size());
+  halo_rows.resize(clause.refs.size());
+  for (std::size_t r = 0; r < clause.refs.size(); ++r) {
+    const std::string& name = clause.refs[r].array;
+    rows[r] = snap && name == clause.lhs_array
+                  ? &(*snap)[static_cast<std::size_t>(p)]
+                  : &store_.local_row(name, p);
+    auto hit = halos.find(name);
+    halo_rows[r] = hit == halos.end()
+                       ? nullptr
+                       : &hit->second[static_cast<std::size_t>(p)];
   }
-  if (!slot.state || slot.epoch != plans_->epoch()) {
-    // A redistribution invalidated whatever this key had compiled; if
-    // the old state was armed, the next executions run bytecode again —
-    // count that as a fallback, then re-arm from scratch.
-    if (slot.state && slot.state->armed()) ++jit_.fallbacks;
-    slot.state = std::make_shared<spmd::JitState>();
-    slot.epoch = plans_->epoch();
-  }
-  spmd::JitConfig cfg;
-  cfg.enabled = true;
-  cfg.threshold = engine_.jit_threshold;
-  cfg.sync = engine_.jit_sync;
-  cfg.cache_dir = engine_.jit_cache_dir;
-  cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = slot.state->poll(clause, kern, cfg, jit_);
-  if (r.launched)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
-  if (r.swapped)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
-  *js = slot.state.get();
-  return r.fns;
 }
 
 void DistMachine::run_clause(const Clause& clause) {
@@ -289,7 +255,8 @@ void DistMachine::run_clause(const Clause& clause) {
   spmd::JitState* js = nullptr;
   const spmd::JitFns* jfns = nullptr;
   if (engine_.jit && kaff && key && !fault_armed)
-    jfns = jit_poll(*key, clause, kern, &js, step_id);
+    jfns = jit_slots_.poll(*key, plans_->epoch(), clause, kern, engine_,
+                           *ctx_, jit_, tr, step_id, &js);
 
   // Communication-schedule dispatch (inspector–executor): replay when a
   // schedule exists for this plan at the current epoch; record one on
@@ -328,440 +295,60 @@ void DistMachine::run_clause(const Clause& clause) {
   // to observe every element the inspector will replay.
   if (rec) jfns = nullptr;
 
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
   const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
 
   // Copy-in snapshot when the clause reads its own target: senders and
   // local reads must observe pre-clause values.
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<std::vector<double>>> snap;
-  if (lhs_read) snap = store_.clone(clause.lhs_array);
-
-  // Pre-clause source row for ref r on `rank`: the copy-in snapshot when
-  // the clause reads its own target, the live store row otherwise.
-  // Resolved once per (ref, rank) so the phase loops read through a plain
-  // pointer instead of a string-keyed lookup per element.
-  auto ref_row = [&](int r, i64 rank) -> const std::vector<double>& {
-    const std::string& name =
-        clause.refs[static_cast<std::size_t>(r)].array;
-    if (snap && name == clause.lhs_array)
-      return (*snap)[static_cast<std::size_t>(rank)];
-    return store_.local_row(name, rank);
-  };
-  auto read_row = [&](const std::vector<double>& row, i64 local,
-                      int r) -> double {
-    if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-      throw RuntimeFault(
-          "local read out of bounds on " +
-          clause.refs[static_cast<std::size_t>(r)].array);
-    return row[static_cast<std::size_t>(local)];
-  };
+  std::optional<Snapshot> snap;
+  if (reads_own_target(clause)) snap = store_.clone(clause.lhs_array);
 
   // In-flight messages: one bulk channel per (src, dst) rank pair.
   std::vector<Channel> channels(
       static_cast<std::size_t>(procs * procs));
-  auto channel = [&](i64 src, i64 dst) -> Channel& {
-    return channels[static_cast<std::size_t>(src * procs + dst)];
-  };
   std::vector<RankCounters> counters(static_cast<std::size_t>(procs));
   std::vector<PathCounters> pcs(static_cast<std::size_t>(procs));
-
-  auto valid_channel = [&](const FaultPlan& f) {
-    return in_range(f.src, 0, procs - 1) && in_range(f.dst, 0, procs - 1);
-  };
 
   // ---- Phase 0: halo refresh for overlapped decompositions -----------
   HaloTable halos;
   refresh_halos(clause, plan, snap ? &*snap : nullptr, counters, halos,
                 step_id);
-  auto halo_covers = [&](const decomp::ArrayDesc& rd, i64 rank,
-                         const std::vector<i64>& idx) {
-    return rd.halo() > 0 && halos.count(rd.name()) &&
-           rd.in_halo(rank, idx);
+
+  // Each rank's view of the step: its pre-clause rows and halo copies,
+  // resolved once so the phase loops read through plain pointers.
+  std::vector<RankStep> ranks(static_cast<std::size_t>(procs));
+  for (i64 p = 0; p < procs; ++p) {
+    RankStep& s = ranks[static_cast<std::size_t>(p)];
+    s = RankStep{.clause = &clause, .plan = &plan, .rank = p,
+                 .step_id = step_id,
+                 .counters = &counters[static_cast<std::size_t>(p)],
+                 .paths = &pcs[static_cast<std::size_t>(p)], .tracer = tr,
+                 .lane = p, .recorder = rec};
+    bind_rows(clause, snap ? &*snap : nullptr, halos, p, s.rows, s.halos);
+  }
+  auto channel = [&](i64 src, i64 dst) -> Channel& {
+    return channels[static_cast<std::size_t>(src * procs + dst)];
   };
 
   // ---- Phase 1: non-blocking sends (Reside_p \ Modify_p) -------------
-  // Rank p writes only its own channel row, counter slot, and
-  // message-matrix row, so the loop parallelizes without locks.
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/1);
   for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::SendBegin, step_id);
-    RankCounters& rc = counters[static_cast<std::size_t>(p)];
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    auto& matrix_row = message_matrix_[static_cast<std::size_t>(p)];
-    std::vector<i64> ridx, out_idx;  // per-rank scratch
-    spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
-    std::vector<i64> g0r, dgr;
-    std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
-    for (int r = 0; r < nrefs; ++r) {
-      if (!plan.ref_needs_comm(r)) continue;  // replicated: always local
-      gen::EnumStats es;
-      const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      const std::vector<double>& row = ref_row(r, p);
-      const spmd::IterationSpace& space = plan.reside_space(p, r);
-      spmd::ArrayAddr ref_addr = spmd::make_local_addr(rd, p);
-      g0r.resize(static_cast<std::size_t>(rd.ndims()));
-      dgr.resize(static_cast<std::size_t>(rd.ndims()));
-      // Per-element send decision.
-      auto emit = [&](const std::vector<i64>& vals) {
-        plan.elem_ref_index(r, vals, ridx);
-        if (!rd.in_bounds(ridx))
-          throw RuntimeFault("read out of bounds on " +
-                             clause.refs[static_cast<std::size_t>(r)].array);
-        i64 local = rd.local_linear(ridx);
-        double value = read_row(row, local, r);
-        i64 tag = plan.elem_tag(r, vals);
-        auto send = [&](i64 dst) {
-          Channel& ch = channel(p, dst);
-          ch.push(tag, value);
-          if (rec) ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
-          ++rc.sends;
-          ++matrix_row[static_cast<std::size_t>(dst)];
-        };
-        if (lhs.is_replicated()) {
-          // Every rank computes every index: broadcast to the others.
-          for (i64 dst = 0; dst < procs; ++dst) {
-            if (dst == p) continue;
-            if (halo_covers(rd, dst, ridx))
-              continue;  // receiver reads its halo copy
-            send(dst);
-          }
-          return;
-        }
-        plan.elem_lhs_index(vals, out_idx);
-        if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
-        i64 dst = lhs.owner(out_idx);
-        if (dst == p) return;  // Modify ∩ Reside: local update later
-        if (halo_covers(rd, dst, ridx))
-          return;  // receiver reads its halo copy
-        send(dst);
-      };
-      space.for_each_run(
-          [&](std::vector<i64>& vals, const gen::Piece& run) {
-            // Elements whose LHS target this rank itself owns send
-            // nothing (Modify ∩ Reside); when a strided-run proof
-            // (affine clauses only) covers both sides — ref in bounds,
-            // stored here, and LHS in bounds, owned here — the whole
-            // subrange is skipped without touching it. Run edges and
-            // unprovable runs go element at a time.
-            i64 k0 = 0, k1 = -1;
-            if (kaff && !lhs.is_replicated()) {
-              spmd::StridedRun rr, lr;
-              spmd::fill_progression(kern.ref_subs(r), vals, inner, run,
-                                     g0r.data(), dgr.data());
-              bool ok = spmd::strided_run(ref_addr, g0r.data(), dgr.data(),
-                                          run.count, &rr);
-              if (ok) {
-                spmd::fill_progression(kern.lhs_subs(), vals, inner, run,
-                                       g0l.data(), dgl.data());
-                ok = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                       run.count, &lr);
-              }
-              if (ok) {
-                k0 = std::max(rr.k_lo, lr.k_lo);
-                k1 = std::min(rr.k_hi, lr.k_hi);
-              }
-              if (k1 < k0) {
-                k0 = 0;
-                k1 = -1;
-              }
-            }
-            for (i64 k = 0; k < k0; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              emit(vals);
-            }
-            for (i64 k = k1 + 1; k < run.count; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              emit(vals);
-            }
-            const i64 skipped = k1 >= k0 ? k1 - k0 + 1 : 0;
-            pc.fused += skipped;
-            (kaff ? pc.generic : pc.interp) += run.count - skipped;
-          },
-          &es);
-      rc.iterations += es.loop_iters;
-      rc.tests += es.tests;
-    }
-    // Pack this rank's outgoing traffic: one sorted bulk message per
-    // destination it actually sends to.
-    for (i64 dst = 0; dst < procs; ++dst) {
-      Channel& ch = channel(p, dst);
-      if (ch.msgs.empty()) continue;
-      ch.pack();
-      ++rc.bulk_sends;
-      VCAL_TRACE(tr, p, obs::EventKind::MsgSend, step_id, dst,
-                 static_cast<i64>(ch.msgs.size()));
-    }
-    VCAL_TRACE(tr, p, obs::EventKind::SendEnd, step_id);
+    send_phase(ranks[static_cast<std::size_t>(p)],
+               ChannelRow{&channel(p, 0), 1},
+               message_matrix_[static_cast<std::size_t>(p)]);
   });
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/1);
   // The virtual network misbehaves here, between send completion and the
   // first receive: armed message faults perturb the packed channels.
-  for (const FaultPlan* f : active_faults) {
-    bool applied = false;
-    switch (f->kind) {
-      case FaultPlan::Kind::DropMessage:
-        applied = valid_channel(*f) && channel(f->src, f->dst).drop(f->index);
-        break;
-      case FaultPlan::Kind::DuplicateMessage:
-        applied =
-            valid_channel(*f) && channel(f->src, f->dst).duplicate(f->index);
-        break;
-      case FaultPlan::Kind::ReorderChannel:
-        applied = valid_channel(*f) && channel(f->src, f->dst).reorder();
-        break;
-      default:
-        break;
-    }
-    if (applied) ++faults_applied_;
-  }
-
-  // Receiver-side bulk accounting (cross-rank: done serially).
-  for (i64 src = 0; src < procs; ++src)
-    for (i64 dst = 0; dst < procs; ++dst)
-      if (!channel(src, dst).msgs.empty()) {
-        ++counters[static_cast<std::size_t>(dst)].bulk_receives;
-        // Serial section: writing the dst lane from here is race-free.
-        VCAL_TRACE(tr, dst, obs::EventKind::MsgRecv, step_id, src,
-                   static_cast<i64>(channel(src, dst).msgs.size()));
-      }
+  for (const FaultPlan* f : active_faults)
+    if (in_range(f->src, 0, procs - 1) && in_range(f->dst, 0, procs - 1) &&
+        apply_message_fault(*f, channel(f->src, f->dst)))
+      ++faults_applied_;
 
   // ---- Phase 2: receive and update (Modify_p) -------------------------
-  // Rank p consumes only channels destined to it and writes only its own
-  // local LHS buffer; all other reads are pre-clause values. Provably
-  // local subranges of each innermost run (affine clauses only) fuse
-  // into one strided loop over the local rows.
   auto phase2 = [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
-    RankCounters& rc = counters[static_cast<std::size_t>(p)];
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<i64> ridx, out_idx;  // per-rank scratch
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] = &ref_row(r, p);
-    std::vector<double>& out_row =
-        store_.local_row_mut(clause.lhs_array, p);
-    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-    const spmd::CompiledGuard* guard = kern.guard();
-    const spmd::CompiledExpr& rhs = kern.rhs();
-    spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
-    std::vector<spmd::ArrayAddr> raddrs;
-    raddrs.reserve(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      raddrs.push_back(spmd::make_local_addr(plan.ref_desc(r), p));
-    std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<std::vector<i64>> g0s(static_cast<std::size_t>(nrefs));
-    std::vector<std::vector<i64>> dgs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      g0s[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-      dgs[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-    }
-    std::vector<spmd::StridedRun> rruns(static_cast<std::size_t>(nrefs));
-    std::vector<i64> raddr(static_cast<std::size_t>(nrefs));
-    std::vector<i64> rstride(static_cast<std::size_t>(nrefs));
-    std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      row_ptrs[static_cast<std::size_t>(r)] =
-          rows[static_cast<std::size_t>(r)]->data();
-
-    // Element-at-a-time body.
-    auto element = [&](const std::vector<i64>& vals) {
-      plan.elem_lhs_index(vals, out_idx);
-      if (!lhs.in_bounds(out_idx))
-        throw RuntimeFault("write out of bounds on " + clause.lhs_array);
-      for (int r = 0; r < nrefs; ++r) {
-        const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        plan.elem_ref_index(r, vals, ridx);
-        if (!rd.in_bounds(ridx))
-          throw RuntimeFault(
-              "read out of bounds on " +
-              clause.refs[static_cast<std::size_t>(r)].array);
-        const std::vector<double>& row =
-            *rows[static_cast<std::size_t>(r)];
-        if (rd.is_replicated()) {
-          i64 local = rd.local_linear(ridx);
-          ref_values[static_cast<std::size_t>(r)] = read_row(row, local, r);
-          ++rc.local_reads;
-          if (rec) rec->note_local(p, r, local);
-          continue;
-        }
-        i64 src = rd.owner(ridx);
-        if (src == p) {
-          i64 local = rd.local_linear(ridx);
-          ref_values[static_cast<std::size_t>(r)] = read_row(row, local, r);
-          ++rc.local_reads;
-          if (rec) rec->note_local(p, r, local);
-        } else if (halo_covers(rd, p, ridx)) {
-          // Overlapped decomposition: the value is already cached in
-          // this rank's halo region.
-          const auto& cache =
-              halos.at(rd.name())[static_cast<std::size_t>(p)];
-          auto hit = cache.find(ridx[0]);
-          require(hit != cache.end(),
-                  "halo cache missing a covered element");
-          ref_values[static_cast<std::size_t>(r)] = hit->second;
-          ++rc.halo_reads;
-          if (rec) rec->note_halo(p, r, ridx[0]);
-        } else {
-          // Blocking receive from the in-flight bulk message.
-          i64 tag = plan.elem_tag(r, vals);
-          Channel& ch = channel(src, p);
-          const double* value = ch.consume(tag);
-          if (value == nullptr) {
-            std::string elem =
-                clause.refs[static_cast<std::size_t>(r)].array + "[";
-            for (std::size_t d = 0; d < ridx.size(); ++d)
-              elem += cat(d ? ", " : "", ridx[d]);
-            elem += "]";
-            std::string diag = cat(
-                "deadlock: rank ", p, " blocked on pending receive of ",
-                elem, " (tag ", tag, ") from rank ", src,
-                ", which never sent it — inconsistent schedules or a "
-                "lost message");
-            if (tr) {
-              diag += cat("; last traced event on rank ", p, ": ",
-                          tr->last_event_str(p));
-              tr->record(p, obs::EventKind::RecvWait, step_id, src, tag);
-            }
-            throw DeadlockError(diag);
-          }
-          ref_values[static_cast<std::size_t>(r)] = *value;
-          ++rc.receives;
-          ++rc.remote_reads;
-          if (rec) rec->note_remote(p, r, src, static_cast<i64>(ch.last_k));
-        }
-      }
-      if (rec) {
-        // Record before the guard: replay evaluates guards live, so
-        // guarded-off elements must still carry their operand offsets.
-        // -1 encodes "the tagged path would fault on an in-range-guarded
-        // write".
-        i64 rslot = lhs.local_linear(out_idx);
-        if (!in_range(rslot, 0, static_cast<i64>(out_row.size()) - 1))
-          rslot = -1;
-        rec->note_element(p, rslot, vals.data());
-      }
-      if (guard &&
-          !guard->holds(ref_values.data(), vals.data(), stack.data()))
-        return;
-      double value = rhs.eval(ref_values.data(), vals.data(), stack.data());
-      i64 slot = lhs.local_linear(out_idx);
-      if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
-        throw RuntimeFault("local write out of bounds on " +
-                           clause.lhs_array);
-      out_row[static_cast<std::size_t>(slot)] = value;
-    };
-
-    gen::EnumStats es;
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          spmd::StridedRun lrun;
-          if (kaff)
-            spmd::fill_progression(kern.lhs_subs(), vals, inner, run,
-                                   g0l.data(), dgl.data());
-          bool fuse = kaff && spmd::strided_run(lhs_addr, g0l.data(),
-                                                dgl.data(), run.count, &lrun);
-          i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-          for (int r = 0; fuse && r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern.ref_subs(r), vals, inner, run,
-                                   g0s[ur].data(), dgs[ur].data());
-            fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
-                                     dgs[ur].data(), run.count, &rruns[ur]);
-            if (fuse) {
-              k0 = std::max(k0, rruns[ur].k_lo);
-              k1 = std::min(k1, rruns[ur].k_hi);
-            }
-          }
-          fuse = fuse && k0 <= k1;
-          if (!fuse) {
-            for (i64 k = 0; k < run.count; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              element(vals);
-            }
-            (kaff ? pc.generic : pc.interp) += run.count;
-            return;
-          }
-          for (i64 k = 0; k < k0; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          // Fused strided loop: every element of [k0, k1] is proven in
-          // bounds and resident on this rank for the LHS and every ref,
-          // so the body carries no checks, no calls through the plan,
-          // and no allocations — just strided row reads, the bytecode
-          // evaluator on a preallocated stack, and a strided row write.
-          i64 la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
-          for (int r = 0; r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            raddr[ur] =
-                rruns[ur].addr0 + (k0 - rruns[ur].k_lo) * rruns[ur].stride;
-          }
-          i64 v = run.start + k0 * run.stride;
-          const i64 fused_n = k1 - k0 + 1;
-          if (jfns) {
-            // Every element of [k0, k1] is proven in bounds and local,
-            // so the jitted loop needs only the strides: addressing
-            // arrives as arguments, the guard/RHS are compiled in.
-            for (int r = 0; r < nrefs; ++r)
-              rstride[static_cast<std::size_t>(r)] =
-                  rruns[static_cast<std::size_t>(r)].stride;
-            jfns->fused(out_row.data(), la, lrun.stride, row_ptrs.data(),
-                        raddr.data(), rstride.data(), vals.data(), v,
-                        run.stride, fused_n);
-            pc.jit += fused_n;
-          } else {
-            for (i64 k = 0; k < fused_n; ++k) {
-              vals[static_cast<std::size_t>(inner)] = v;
-              if (rec) {
-                // Fused elements are proven local and in bounds for the
-                // LHS and every ref; record their resolved offsets.
-                rec->note_element(p, la, vals.data());
-                for (int r = 0; r < nrefs; ++r)
-                  rec->note_local(p, r, raddr[static_cast<std::size_t>(r)]);
-              }
-              for (int r = 0; r < nrefs; ++r) {
-                auto ur = static_cast<std::size_t>(r);
-                ref_values[ur] =
-                    (*rows[ur])[static_cast<std::size_t>(raddr[ur])];
-                raddr[ur] += rruns[ur].stride;
-              }
-              if (!guard ||
-                  guard->holds(ref_values.data(), vals.data(), stack.data()))
-                out_row[static_cast<std::size_t>(la)] =
-                    rhs.eval(ref_values.data(), vals.data(), stack.data());
-              la += lrun.stride;
-              v += run.stride;
-            }
-            pc.fused += fused_n;
-          }
-          rc.local_reads += fused_n * nrefs;
-          for (i64 k = k1 + 1; k < run.count; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          pc.generic += run.count - fused_n;
-        },
-        &es);
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
+    update_phase(ranks[static_cast<std::size_t>(p)],
+                 ChannelRow{&channel(0, p), procs},
+                 store_.local_row_mut(clause.lhs_array, p), jfns);
   };
 
   // A stalled rank sits out the scheduled receive/update rounds while
@@ -788,21 +375,9 @@ void DistMachine::run_clause(const Clause& clause) {
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
 
   // Every send must have been consumed — the message-pairing invariant.
-  for (i64 p = 0; p < procs; ++p) {
-    i64 leftover = 0;
-    for (i64 src = 0; src < procs; ++src)
-      leftover += channel(src, p).undelivered();
-    if (leftover > 0)
-      throw RuntimeFault(cat("rank ", p, " finished the clause with ",
-                             leftover, " undelivered messages"));
-  }
+  for (i64 p = 0; p < procs; ++p)
+    check_delivered(p, ChannelRow{&channel(0, p), procs}, procs);
   for (const PathCounters& c : pcs) paths_ += c;
-  if (tr)
-    for (i64 p = 0; p < procs; ++p) {
-      const PathCounters& c = pcs[static_cast<std::size_t>(p)];
-      tr->record(p, obs::EventKind::KernelPath, step_id, c.fused, c.generic,
-                 c.interp, c.sched);
-    }
   if (rec) {
     // Freeze each source rank's pack program from the channel metadata
     // (post-sort, post-dedup order — exactly what replay reproduces),
@@ -864,11 +439,8 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // Copy-in snapshot when the clause reads its own target: packing and
   // local gathers must observe pre-clause values.
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<std::vector<double>>> snap;
-  if (lhs_read) snap = store_.clone(clause.lhs_array);
+  std::optional<Snapshot> snap;
+  if (reads_own_target(clause)) snap = store_.clone(clause.lhs_array);
 
   // Persistent scratch: sized on the first scheduled step, reused by
   // every later one (the steady state allocates nothing).
@@ -887,25 +459,6 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   refresh_halos(clause, plan, snap ? &*snap : nullptr, sched_counters_,
                 halos, step_id);
 
-  // Resolve each ref's pre-clause source row (snapshot-aware) and halo
-  // cache on `p` into the rank's persistent scratch.
-  auto resolve_rows = [&](i64 p, ReplayScratch& rs) {
-    rs.rows.resize(static_cast<std::size_t>(nrefs));
-    rs.halo_rows.resize(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      const std::string& name =
-          clause.refs[static_cast<std::size_t>(r)].array;
-      rs.rows[static_cast<std::size_t>(r)] =
-          (snap && name == clause.lhs_array)
-              ? &(*snap)[static_cast<std::size_t>(p)]
-              : &store_.local_row(name, p);
-      auto hit = halos.find(name);
-      rs.halo_rows[static_cast<std::size_t>(r)] =
-          hit == halos.end() ? nullptr
-                             : &hit->second[static_cast<std::size_t>(p)];
-    }
-  };
-
   // Double-buffered reused channel storage: one contiguous value vector
   // per (src, dst) pair, parity-flipped per scheduled step; clear()
   // keeps capacity.
@@ -916,10 +469,11 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // ---- Executor phase 1: positional pack -----------------------------
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/1);
-  for_ranks_t(procs, [&](i64 p) {
+  for_ranks(procs, [&](i64 p) {
     VCAL_TRACE(tr, p, obs::EventKind::PackBegin, step_id);
     ReplayScratch& rs = replay_scratch_[static_cast<std::size_t>(p)];
-    resolve_rows(p, rs);
+    bind_rows(clause, snap ? &*snap : nullptr, halos, p, rs.rows,
+              rs.halo_rows);
     const spmd::SendPlan& sp = sched.send[static_cast<std::size_t>(p)];
     i64 packed = 0;
     for (i64 dst = 0; dst < procs; ++dst) {
@@ -951,7 +505,7 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // ---- Executor phase 2: gather by recorded offset, live guard/RHS ---
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/2);
-  for_ranks_t(procs, [&](i64 p) {
+  for_ranks(procs, [&](i64 p) {
     VCAL_TRACE(tr, p, obs::EventKind::GatherBegin, step_id);
     ReplayScratch& rs = replay_scratch_[static_cast<std::size_t>(p)];
     const spmd::RecvPlan& rv = sched.recv[static_cast<std::size_t>(p)];

@@ -37,6 +37,7 @@
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
 #include "rt/fault_plan.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
@@ -67,6 +68,12 @@ struct DistStats {
 
   std::string str() const;
 };
+
+/// Folds one step's per-rank counters into `stats`: the serial merge
+/// every distributed backend replays, so their DistStats agree bit for
+/// bit (sim_time grows by the slowest rank's cost).
+void fold_step(DistStats& stats, const std::vector<RankCounters>& counters,
+               const CostModel& cost);
 
 class DistMachine {
  public:
@@ -140,10 +147,12 @@ class DistMachine {
   const obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// halos[name][rank] maps global index -> cached pre-clause value.
+  /// halos[name][rank]: that rank's pre-clause halo copy of the array.
   using HaloTable =
-      std::unordered_map<std::string,
-                         std::vector<std::unordered_map<i64, double>>>;
+      std::unordered_map<std::string, std::vector<HaloCopy>>;
+
+  /// Copy-in image of the LHS array, one row per rank.
+  using Snapshot = std::vector<std::vector<double>>;
 
   void run_clause(const prog::Clause& clause);
   /// Executor half of the inspector–executor split: replays a compiled
@@ -155,33 +164,30 @@ class DistMachine {
                             const spmd::CommSchedule& sched,
                             spmd::JitState* js, const spmd::JitFns* jfns);
 
-  /// One JIT arming/ dispatch poll for the clause keyed by `key` at the
-  /// current epoch. Returns the jitted entry points when ready (and the
-  /// owning state via `js`), nullptr while the bytecode kernel should
-  /// keep running.
-  const spmd::JitFns* jit_poll(const std::string& key,
-                               const prog::Clause& clause,
-                               const spmd::ClauseKernel& kern,
-                               spmd::JitState** js, i64 step_id);
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
+
+  /// Points rows[r] at rank p's pre-clause row of ref r (the snapshot
+  /// row when the clause reads its own target) and halo_rows[r] at its
+  /// halo copy of that array (null when the array has no halo).
+  void bind_rows(const prog::Clause& clause, const Snapshot* snap,
+                 const HaloTable& halos, i64 p,
+                 std::vector<const std::vector<double>*>& rows,
+                 std::vector<const HaloCopy*>& halo_rows) const;
 
   /// Phase 0: refresh halo copies of every overlapped referenced array
   /// with pre-clause values (shared by the tagged and scheduled paths).
   void refresh_halos(const prog::Clause& clause,
                      const spmd::ClausePlan& plan,
-                     const std::vector<std::vector<double>>* snap,
+                     const Snapshot* snap,
                      std::vector<RankCounters>& counters, HaloTable& halos,
                      i64 step_id);
 
-  /// Runs body(rank) for every rank, honoring engine_.threads.
-  void for_ranks(i64 n, const std::function<void(i64)>& body);
-
-  /// As for_ranks, but monomorphized: the threads == 1 path calls the
-  /// body inline with no std::function wrapper, so scheduled steady
-  /// states allocate nothing.
+  /// Runs body(rank) for every rank, honoring engine_.threads. The
+  /// threads == 1 path calls the body inline with no std::function
+  /// wrapper, so scheduled steady states allocate nothing.
   template <typename F>
-  void for_ranks_t(i64 n, F&& body);
+  void for_ranks(i64 n, F&& body);
 
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
@@ -202,16 +208,7 @@ class DistMachine {
   CommStats comm_;
   spmd::JitStats jit_;
 
-  // Per-plan-key JIT state: arming counter, compile status, swapped-in
-  // function pointers. A redistribution's epoch bump invalidates the
-  // state with the plan that owned it (counted as a fallback when the
-  // old state had armed).
-  struct JitSlot {
-    std::shared_ptr<spmd::JitState> state;
-    std::uint64_t epoch = 0;
-    bool no_toolchain_noted = false;  // one fallback per key, not per exec
-  };
-  std::unordered_map<std::string, JitSlot> jit_states_;
+  JitSlots jit_slots_;
 
   // ---- communication-schedule dispatch state ----
   // Per-program-step memoized plan-cache key (clause.str() computed
@@ -238,7 +235,7 @@ class DistMachine {
     std::vector<double> refs;
     std::vector<double> stack;
     std::vector<const std::vector<double>*> rows;
-    std::vector<const std::unordered_map<i64, double>*> halo_rows;
+    std::vector<const HaloCopy*> halo_rows;
     std::vector<const double*> bases;  // jitted replay operand bases
   };
   std::vector<ReplayScratch> replay_scratch_;

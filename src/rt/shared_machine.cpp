@@ -50,8 +50,8 @@ void SharedMachine::load(const std::string& name,
   store_.load(it->second, dense);
 }
 
-void SharedMachine::for_ranks(i64 n,
-                              const std::function<void(i64)>& body) {
+template <typename F>
+void SharedMachine::for_ranks(i64 n, F&& body) {
   if (engine_.threads == 1) {
     for (i64 r = 0; r < n; ++r) body(r);
     return;
@@ -119,7 +119,9 @@ void SharedMachine::run() {
         spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
         if (engine_.jit && plan.kernel().affine() && key)
-          jfns = jit_poll(*key, *clause, plan.kernel(), &js);
+          jfns = jit_slots_.poll(*key, plans_->epoch(), *clause,
+                                 plan.kernel(), engine_, *ctx_, jit_,
+                                 tracer_, trace_step_, &js);
         // Gather-schedule dispatch (see comm_schedule.hpp): replay when
         // a schedule exists for this plan at the current epoch; record
         // one on the second clean execution; otherwise enumerate.
@@ -183,48 +185,6 @@ void SharedMachine::run() {
     }
   }
   resolve_pending(nullptr);  // the final barrier is always performed
-}
-
-const spmd::JitFns* SharedMachine::jit_poll(const std::string& key,
-                                            const Clause& clause,
-                                            const spmd::ClauseKernel& kern,
-                                            spmd::JitState** js) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  JitSlot& slot = jit_states_[key];
-  if (!ctx_->jit().available()) {
-    // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per clause key records that JIT was
-    // requested but cannot happen here.
-    if (!slot.no_toolchain_noted) {
-      slot.no_toolchain_noted = true;
-      ++jit_.fallbacks;
-    }
-    return nullptr;
-  }
-  if (!slot.state || slot.epoch != plans_->epoch()) {
-    // A redistribution invalidated whatever this key had compiled; if
-    // the old state was armed, the next executions run bytecode again —
-    // count that as a fallback, then re-arm from scratch.
-    if (slot.state && slot.state->armed()) ++jit_.fallbacks;
-    slot.state = std::make_shared<spmd::JitState>();
-    slot.epoch = plans_->epoch();
-  }
-  spmd::JitConfig cfg;
-  cfg.enabled = true;
-  cfg.threshold = engine_.jit_threshold;
-  cfg.sync = engine_.jit_sync;
-  cfg.cache_dir = engine_.jit_cache_dir;
-  cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = slot.state->poll(clause, kern, cfg, jit_);
-  if (r.launched)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, trace_step_,
-               cfg.sync ? 1 : 0);
-  if (r.swapped)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, trace_step_,
-               r.cached ? 0 : 1);
-  *js = slot.state.get();
-  return r.fns;
 }
 
 void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,

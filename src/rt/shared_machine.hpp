@@ -105,14 +105,11 @@ class SharedMachine {
                            const spmd::GatherSchedule& sched,
                            spmd::JitState* js, const spmd::JitFns* jfns);
 
-  /// One JIT arming / dispatch poll for the clause keyed by `key` at
-  /// the current epoch (see DistMachine::jit_poll).
-  const spmd::JitFns* jit_poll(const std::string& key,
-                               const prog::Clause& clause,
-                               const spmd::ClauseKernel& kern,
-                               spmd::JitState** js);
   void run_clause_sequential(const prog::Clause& clause);
-  void for_ranks(i64 n, const std::function<void(i64)>& body);
+  /// Runs body(rank) for every rank, honoring engine_.threads (inline,
+  /// with no std::function wrapper, when threads == 1).
+  template <typename F>
+  void for_ranks(i64 n, F&& body);
 
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
@@ -130,14 +127,7 @@ class SharedMachine {
   spmd::JitStats jit_;
   i64 trace_step_ = 0;  // executed-step ordinal for trace event ids
 
-  // Per-plan-key JIT state (see DistMachine::JitSlot): epoch mismatch on
-  // an armed state counts a fallback and re-arms from scratch.
-  struct JitSlot {
-    std::shared_ptr<spmd::JitState> state;
-    std::uint64_t epoch = 0;
-    bool no_toolchain_noted = false;  // one fallback per key, not per exec
-  };
-  std::unordered_map<std::string, JitSlot> jit_states_;
+  JitSlots jit_slots_;
 
   // Gather-schedule dispatch state (see DistMachine): memoized plan-cache
   // keys per program step, and per-key clean-execution counts at the

@@ -170,7 +170,7 @@ void Server::start() {
   executors_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i)
     executors_.emplace_back([this] { executor_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 void Server::wait() {
@@ -185,10 +185,13 @@ void Server::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
+  // shutdown() wakes a blocked accept() (closing the fd alone does not
+  // reliably). The fd is closed only after the accept thread joined, so
+  // its number cannot be reused under a late accept(), and no session
+  // can be accepted after the shutdown below.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // Closing the fd alone does not reliably wake a blocked accept();
-    // shutdown() does.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -197,7 +200,6 @@ void Server::stop() {
     for (auto& s : sessions_)
       if (s->fd >= 0) ::shutdown(s->fd, SHUT_RDWR);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& t : executors_)
     if (t.joinable()) t.join();
   std::vector<std::thread> readers;
@@ -251,12 +253,12 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listen fd closed: shutting down
+      return;  // listen fd shut down: stopping
     }
     auto session = std::make_shared<Session>();
     session->id = next_session_.fetch_add(1);

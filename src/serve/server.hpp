@@ -112,7 +112,8 @@ class Server {
     RunRequest request;
   };
 
-  void accept_loop();
+  /// Accepts on its own copy of the listen fd (stop() owns the field).
+  void accept_loop(int listen_fd);
   void reader_loop(std::shared_ptr<Session> session);
   void executor_loop();
   /// Compile (through the session cache), execute, and answer one

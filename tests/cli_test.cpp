@@ -78,9 +78,9 @@ TEST(Cli, TargetsAgree) {
 
 TEST(Cli, ProcTargetMatchesDistStatsAndExportsRankTraces) {
   // The multi-process backend through the CLI: same results and stats
-  // line as the simulator, and --trace ships per-rank worker lanes back
-  // into one Chrome JSON (no "engine" control lane — workers have
-  // none).
+  // line as the simulator, a paths line from the workers' rank-steps,
+  // and --trace ships per-rank worker lanes back into one Chrome JSON
+  // (no "engine" control lane — workers have none).
   std::string base = "--init U --print U --stats " + programs() +
                      "/relax.vexl";
   RunResult dist = run("--target=dist " + base);
@@ -89,7 +89,8 @@ TEST(Cli, ProcTargetMatchesDistStatsAndExportsRankTraces) {
   auto arrays = [](const std::string& s) {
     return s.substr(0, s.find("paths:"));
   };
-  EXPECT_EQ(arrays(dist.out), proc.out);
+  EXPECT_EQ(arrays(dist.out), arrays(proc.out));
+  EXPECT_TRUE(has(proc.out, "\npaths: fused=")) << proc.out;
 
   std::string dir = unique_dir();
   std::string json = dir + "/proc_trace.json";

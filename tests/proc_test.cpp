@@ -131,6 +131,29 @@ TEST(ProcMachine, EngineKnobsStayBitIdentical) {
   expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U"}, assorted);
 }
 
+TEST(ProcMachine, WorkersRunTheSimulatorsRankStep) {
+  // With schedules and the JIT off the simulator runs the tagged
+  // rank-step on every clause — the code each worker runs — so the
+  // per-element path tallies must agree exactly: fused loops on the
+  // halo stencil, plan-evaluated subscripts on the mod rotation.
+  rt::EngineOptions engine;
+  engine.comm_schedules = false;
+  engine.jit = false;
+  auto paths = [&](const std::string& source, const std::string& input,
+                   std::size_t n) {
+    DistMachine sim(lang::compile(source), {}, {}, engine);
+    ProcMachine real(source, {}, {}, engine, proc_opts());
+    sim.load(input, ramp(n));
+    real.load(input, ramp(n));
+    sim.run();
+    real.run();
+    EXPECT_EQ(real.path_counters().str(), sim.path_counters().str());
+    return real.path_counters();
+  };
+  EXPECT_GT(paths(halo_redist_source(4), "U", 32).fused, 0);
+  EXPECT_GT(paths(rotate_source(4), "B", 20).interp, 0);
+}
+
 TEST(ProcMachine, TraceLanesComeBackFromEveryRank) {
   rt::EngineOptions engine;
   engine.trace = true;

@@ -494,8 +494,10 @@ int main(int argc, char** argv) {
       machine.run();
       for (const std::string& name : opt.print)
         dump(name, machine.gather(name));
-      if (opt.stats)
+      if (opt.stats) {
         std::printf("stats: %s\n", machine.stats().str().c_str());
+        std::printf("paths: %s\n", machine.path_counters().str().c_str());
+      }
       if (!opt.trace_path.empty()) {
         std::vector<obs::TraceLane> lanes;
         for (std::size_t r = 0; r < machine.rank_traces().size(); ++r)
