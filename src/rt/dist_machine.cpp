@@ -35,12 +35,11 @@ DistMachine::DistMachine(spmd::Program program, gen::BuildOptions opts,
       store_(program_.procs) {
   program_.validate();
   plans_ = PlanLease(ctx_, "dist", plan_scope);
-  if (engine_.threads > 1)
-    pool_ = std::make_unique<support::ThreadPool>(engine_.threads);
   if (engine_.trace) {
     tracer_ = ctx_->make_tracer(program_.procs, engine_.trace_capacity);
     plans_->set_tracer(tracer_, tracer_->control_lane());
   }
+  dispatch_ = ClauseDispatch(engine_, ctx_, plans_.get(), tracer_);
   message_matrix_.assign(
       static_cast<std::size_t>(program_.procs),
       std::vector<i64>(static_cast<std::size_t>(program_.procs), 0));
@@ -61,17 +60,6 @@ void DistMachine::run() {
     else
       run_redistribute(std::get<spmd::RedistStep>(step));
   }
-}
-
-template <typename F>
-void DistMachine::for_ranks(i64 n, F&& body) {
-  if (engine_.threads == 1) {
-    for (i64 r = 0; r < n; ++r) body(r);
-    return;
-  }
-  support::ThreadPool& pool =
-      pool_ ? *pool_ : support::ThreadPool::shared();
-  pool.parallel_for_ranks(n, body);
 }
 
 void fold_step(DistStats& stats, const std::vector<RankCounters>& counters,
@@ -155,7 +143,7 @@ void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
         std::vector<i64>(static_cast<std::size_t>(procs), 0));
     std::vector<std::vector<i64>> owner_values = owner_bulk;
     VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/0);
-    for_ranks(procs, [&](i64 p) {
+    dispatch_.for_ranks(procs, [&](i64 p) {
       VCAL_TRACE(tr, p, obs::EventKind::HaloBegin, step_id);
       RankCounters& rc = counters[static_cast<std::size_t>(p)];
       auto& ob = owner_bulk[static_cast<std::size_t>(p)];
@@ -226,74 +214,26 @@ void DistMachine::run_clause(const Clause& clause) {
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
 
   // Plans are pure compile-time data, cached per (clause, epoch);
-  // iterative programs reuse them until a redistribution bumps the epoch. The cache key (the clause's
-  // printed form) is memoized per program step, so repeat executions
-  // look it up without rebuilding the string.
-  const std::string* key = nullptr;
+  // iterative programs reuse them until a redistribution bumps the
+  // epoch.
+  const std::string* key = dispatch_.key(clause);
   std::optional<ClausePlan> uncached;
-  if (!engine_.cache_plans) {
-    uncached.emplace(ClausePlan::build(clause, program_.arrays, opts_));
-  } else {
-    auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-    if (fresh) ki->second = clause.str();
-    key = &ki->second;
-  }
+  if (!key) uncached.emplace(ClausePlan::build(clause, program_.arrays, opts_));
   const ClausePlan& plan =
-      uncached ? *uncached
-               : plans_->get(*key, clause, program_.arrays, opts_);
+      key ? plans_->get(*key, clause, program_.arrays, opts_) : *uncached;
 
-  // The clause body always runs as bytecode (see spmd/kernel.hpp). When
-  // every subscript is affine (kaff), the strided-run analysis fuses
-  // provably local subranges in both phases; every other element runs
-  // one at a time, its subscripts and tags from ClausePlan::elem_*.
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const bool kaff = kern.affine();
-
-  // JIT dispatch: poll the per-key state once per execution (arming
-  // counter, compile status, pointer swap). Requires cached affine
-  // plans; armed faults keep the fully observable bytecode.
-  spmd::JitState* js = nullptr;
-  const spmd::JitFns* jfns = nullptr;
-  if (engine_.jit && kaff && key && !fault_armed)
-    jfns = jit_slots_.poll(*key, plans_->epoch(), clause, kern, engine_,
-                           *ctx_, jit_, tr, step_id, &js);
-
-  // Communication-schedule dispatch (inspector–executor): replay when a
-  // schedule exists for this plan at the current epoch; record one on
-  // the second clean execution (the first proves the pattern repeats;
-  // single-shot clauses never pay the inspector); otherwise run the
-  // tagged path. Armed faults and uncached plans always fall back.
-  spmd::CommSchedule* rec = nullptr;
-  std::unique_ptr<spmd::CommSchedule> rec_owner;
-  if (engine_.comm_schedules) {
-    if (!engine_.cache_plans || fault_armed) {
-      ++comm_.sched_fallbacks;
-      VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id,
-                 fault_armed ? 1 : 0);
-    } else {
-      if (auto* cs = static_cast<spmd::CommSchedule*>(
-              plans_->find_schedule(*key))) {
-        run_clause_scheduled(clause, plan, *cs, js, jfns);
-        return;
-      }
-      auto [si, first] =
-          key_seen_.try_emplace(*key, KeySeen{plans_->epoch(), 0});
-      if (!first && si->second.epoch != plans_->epoch())
-        si->second = KeySeen{plans_->epoch(), 0};
-      if (si->second.seen >= 1) {
-        rec_owner = std::make_unique<spmd::CommSchedule>();
-        rec_owner->init(plan.procs(), static_cast<int>(clause.loops.size()),
-                        static_cast<int>(clause.refs.size()));
-        rec = rec_owner.get();
-      }
-      ++si->second.seen;
-    }
+  // Inspector–executor: replay the clause's schedule when one exists at
+  // this epoch, else run the tagged path (recording on the second clean
+  // execution). Armed faults keep the tagged bytecode path, so the
+  // perturbation machinery always sees real channels.
+  ClauseRoute route = dispatch_.route(key, clause, plan, fault_armed, step_id);
+  if (route.replay) {
+    run_clause_scheduled(clause, plan, route);
+    return;
   }
+  spmd::CommSchedule* rec = route.record.get();
   std::vector<std::vector<i64>> matrix_before;
   if (rec) matrix_before = message_matrix_;
-  // Recording steps must run the bytecode loop: the note_* hooks have
-  // to observe every element the inspector will replay.
-  if (rec) jfns = nullptr;
 
   const i64 procs = plan.procs();
 
@@ -331,7 +271,7 @@ void DistMachine::run_clause(const Clause& clause) {
 
   // ---- Phase 1: non-blocking sends (Reside_p \ Modify_p) -------------
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/1);
-  for_ranks(procs, [&](i64 p) {
+  dispatch_.for_ranks(procs, [&](i64 p) {
     send_phase(ranks[static_cast<std::size_t>(p)],
                ChannelRow{&channel(p, 0), 1},
                message_matrix_[static_cast<std::size_t>(p)]);
@@ -348,7 +288,7 @@ void DistMachine::run_clause(const Clause& clause) {
   auto phase2 = [&](i64 p) {
     update_phase(ranks[static_cast<std::size_t>(p)],
                  ChannelRow{&channel(0, p), procs},
-                 store_.local_row_mut(clause.lhs_array, p), jfns);
+                 store_.local_row_mut(clause.lhs_array, p), route.jit);
   };
 
   // A stalled rank sits out the scheduled receive/update rounds while
@@ -363,26 +303,25 @@ void DistMachine::run_clause(const Clause& clause) {
   if (stall) {
     VCAL_TRACE(tr, stall->rank, obs::EventKind::Stall, step_id,
                std::max<i64>(stall->rounds, 0));
-    for_ranks(procs, [&](i64 p) {
+    dispatch_.for_ranks(procs, [&](i64 p) {
       if (p != stall->rank) phase2(p);
     });
     stall_rounds_ += std::max<i64>(stall->rounds, 0);
     ++faults_applied_;
     phase2(stall->rank);  // the stall releases
   } else {
-    for_ranks(procs, phase2);
+    dispatch_.for_ranks(procs, phase2);
   }
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
 
   // Every send must have been consumed — the message-pairing invariant.
   for (i64 p = 0; p < procs; ++p)
     check_delivered(p, ChannelRow{&channel(0, p), procs}, procs);
-  for (const PathCounters& c : pcs) paths_ += c;
   if (rec) {
     // Freeze each source rank's pack program from the channel metadata
-    // (post-sort, post-dedup order — exactly what replay reproduces),
-    // capture the clean step's counters and message-matrix increments,
-    // and publish the schedule into the plan-cache entry.
+    // (post-sort, post-dedup order — exactly what replay reproduces) and
+    // capture the clean step's counters and message-matrix increments;
+    // finish() publishes the schedule into the plan-cache entry.
     for (i64 src = 0; src < procs; ++src) {
       spmd::SendPlan& sp = rec->send[static_cast<std::size_t>(src)];
       sp.dst_begin.assign(static_cast<std::size_t>(procs) + 1, 0);
@@ -403,12 +342,8 @@ void DistMachine::run_clause(const Clause& clause) {
                            [static_cast<std::size_t>(d)] -
             matrix_before[static_cast<std::size_t>(s)]
                          [static_cast<std::size_t>(d)];
-    rec->seal();
-    ++comm_.sched_builds;
-    plans_->attach_schedule(*key, std::move(rec_owner));
-    VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
-               plans_->schedules());
   }
+  dispatch_.finish(route, pcs, step_id);
   finish_step(counters);
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseEnd, step_id);
 }
@@ -425,17 +360,13 @@ void DistMachine::run_clause(const Clause& clause) {
 // path.
 void DistMachine::run_clause_scheduled(const Clause& clause,
                                        const ClausePlan& plan,
-                                       const spmd::CommSchedule& sched,
-                                       spmd::JitState* js,
-                                       const spmd::JitFns* jfns) {
+                                       ClauseRoute& route) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = stats_.steps;
+  const spmd::CommSchedule& sched = *route.replay;
   const i64 procs = sched.procs;
-  const int nrefs = sched.nrefs;
-  const int nloops = sched.nloops;
-
-  const spmd::ClauseKernel& kern = plan.kernel();
+  const auto np = static_cast<std::size_t>(procs);
 
   // Copy-in snapshot when the clause reads its own target: packing and
   // local gathers must observe pre-clause values.
@@ -444,10 +375,11 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // Persistent scratch: sized on the first scheduled step, reused by
   // every later one (the steady state allocates nothing).
-  if (static_cast<i64>(sched_counters_.size()) != procs) {
-    sched_counters_.assign(static_cast<std::size_t>(procs), RankCounters{});
-    sched_pcs_.assign(static_cast<std::size_t>(procs), PathCounters{});
-    replay_scratch_.resize(static_cast<std::size_t>(procs));
+  if (sched_counters_.size() != np) {
+    sched_counters_.assign(np, RankCounters{});
+    sched_pcs_.assign(np, PathCounters{});
+    replay_steps_.resize(np);
+    replay_scratch_.resize(np);
   }
   for (RankCounters& c : sched_counters_) c = RankCounters{};
   for (PathCounters& c : sched_pcs_) c = PathCounters{};
@@ -469,11 +401,17 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // ---- Executor phase 1: positional pack -----------------------------
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/1);
-  for_ranks(procs, [&](i64 p) {
+  dispatch_.for_ranks(procs, [&](i64 p) {
     VCAL_TRACE(tr, p, obs::EventKind::PackBegin, step_id);
-    ReplayScratch& rs = replay_scratch_[static_cast<std::size_t>(p)];
-    bind_rows(clause, snap ? &*snap : nullptr, halos, p, rs.rows,
-              rs.halo_rows);
+    RankStep& rs = replay_steps_[static_cast<std::size_t>(p)];
+    rs.clause = &clause;
+    rs.plan = &plan;
+    rs.rank = p;
+    rs.step_id = step_id;
+    rs.paths = &sched_pcs_[static_cast<std::size_t>(p)];
+    rs.tracer = tr;
+    rs.lane = p;
+    bind_rows(clause, snap ? &*snap : nullptr, halos, p, rs.rows, rs.halos);
     const spmd::SendPlan& sp = sched.send[static_cast<std::size_t>(p)];
     i64 packed = 0;
     for (i64 dst = 0; dst < procs; ++dst) {
@@ -505,105 +443,18 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // ---- Executor phase 2: gather by recorded offset, live guard/RHS ---
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/2);
-  for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::GatherBegin, step_id);
-    ReplayScratch& rs = replay_scratch_[static_cast<std::size_t>(p)];
-    const spmd::RecvPlan& rv = sched.recv[static_cast<std::size_t>(p)];
-    std::vector<double>& out_row =
-        store_.local_row_mut(clause.lhs_array, p);
-    rs.refs.resize(static_cast<std::size_t>(nrefs));
-    const spmd::CompiledGuard* guard = kern.guard();
-    rs.stack.resize(static_cast<std::size_t>(kern.stack_need()));
-
-    // Jitted replay: execute the flattened segment program instead of
-    // the per-element dispatch — constant-stride runs go through the
-    // vectorizable fused entry, irregular stretches through the gather
-    // entry. A rank with any == false (halo operand, guarded-OOB slot)
-    // keeps the bytecode loop below.
-    const spmd::JitRankProg* rp = nullptr;
-    if (jfns && js) {
-      const spmd::JitReplayProg* jp = js->replay_prog(sched);
-      const spmd::JitRankProg& rr = jp->ranks[static_cast<std::size_t>(p)];
-      if (rr.any) rp = &rr;
-    }
-    if (rp) {
-      // Operand bases: ref rows first, then the packed buffer arriving
-      // from each source rank (matching JitRankProg's id encoding).
-      rs.bases.resize(static_cast<std::size_t>(nrefs + procs));
-      for (int r = 0; r < nrefs; ++r)
-        rs.bases[static_cast<std::size_t>(r)] =
-            rs.rows[static_cast<std::size_t>(r)]->data();
-      for (i64 s = 0; s < procs; ++s)
-        rs.bases[static_cast<std::size_t>(nrefs + s)] =
-            bufs[static_cast<std::size_t>(s * procs + p)].data();
-      for (const spmd::JitSegment& sg : rp->segs) {
-        if (sg.fused)
-          jfns->fused(out_row.data(), sg.la0, sg.la_stride, rs.bases.data(),
-                      sg.raddr0.data(), sg.rstride.data(),
-                      rv.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride,
-                      sg.n);
-        else
-          jfns->replay(out_row.data(), rs.bases.data(),
-                       rp->ids.data() + sg.e0 * nrefs,
-                       rp->offs.data() + sg.e0 * nrefs,
-                       rv.lhs_slot.data() + sg.e0,
-                       rv.vals.data() + sg.e0 * nloops, sg.n);
-      }
-      sched_pcs_[static_cast<std::size_t>(p)].jit += rv.n;
-    } else {
-      for (i64 e = 0; e < rv.n; ++e) {
-        const i64* vals = rv.vals.data() + e * nloops;
-        const spmd::RefOp* ops = rv.ops.data() + e * nrefs;
-        for (int r = 0; r < nrefs; ++r) {
-          const spmd::RefOp& op = ops[r];
-          const auto ur = static_cast<std::size_t>(op.ref);
-          switch (op.kind) {
-            case spmd::RefOp::Kind::Local:
-              rs.refs[static_cast<std::size_t>(r)] =
-                  (*rs.rows[ur])[static_cast<std::size_t>(op.a)];
-              break;
-            case spmd::RefOp::Kind::Halo:
-              rs.refs[static_cast<std::size_t>(r)] =
-                  rs.halo_rows[ur]->find(op.a)->second;
-              break;
-            case spmd::RefOp::Kind::Remote:
-              rs.refs[static_cast<std::size_t>(r)] =
-                  bufs[static_cast<std::size_t>(op.a * procs + p)]
-                      [static_cast<std::size_t>(op.b)];
-              break;
-          }
-        }
-        if (guard && !guard->holds(rs.refs.data(), vals, rs.stack.data()))
-          continue;
-        const double value =
-            kern.rhs().eval(rs.refs.data(), vals, rs.stack.data());
-        const i64 slot = rv.lhs_slot[static_cast<std::size_t>(e)];
-        if (slot < 0)
-          throw RuntimeFault("local write out of bounds on " +
-                             clause.lhs_array);
-        out_row[static_cast<std::size_t>(slot)] = value;
-      }
-      sched_pcs_[static_cast<std::size_t>(p)].sched += rv.n;
-    }
-    VCAL_TRACE(tr, p, obs::EventKind::GatherEnd, step_id, rv.n);
+  dispatch_.for_ranks(procs, [&](i64 p) {
+    const auto up = static_cast<std::size_t>(p);
+    replay_phase(replay_steps_[up], sched.recv[up], &bufs[up], procs,
+                 store_.local_row_mut(clause.lhs_array, p), route.jit,
+                 route.jit_replay, replay_scratch_[up]);
   });
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
 
-  // Accounting: volumes from the schedule; counters and the message
-  // matrix replay verbatim from the recording step (bit-identical
-  // stats, last_step_counters, matrix, and sim_time).
-  ++comm_.sched_hits;
-  comm_.packed_values += sched.packed_ops;
-  comm_.packed_bytes += sched.packed_ops * static_cast<i64>(sizeof(double));
-  comm_.unpacked_values += sched.remote_ops;
-  VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
-  for (const PathCounters& c : sched_pcs_) paths_ += c;
-  if (tr)
-    for (i64 p = 0; p < procs; ++p) {
-      const PathCounters& c = sched_pcs_[static_cast<std::size_t>(p)];
-      tr->record(p, obs::EventKind::KernelPath, step_id, c.fused, c.generic,
-                 c.interp, c.sched);
-    }
+  // Accounting: counters and the message matrix replay verbatim from the
+  // recording step (bit-identical stats, last_step_counters, matrix, and
+  // sim_time).
+  dispatch_.finish(route, sched_pcs_, step_id);
   for (i64 s = 0; s < procs; ++s)
     for (i64 d = 0; d < procs; ++d)
       message_matrix_[static_cast<std::size_t>(s)]

@@ -33,6 +33,7 @@
 
 #include "gen/optimizer.hpp"
 #include "obs/trace.hpp"
+#include "rt/clause_dispatch.hpp"
 #include "rt/cost_model.hpp"
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
@@ -42,7 +43,6 @@
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
-#include "support/thread_pool.hpp"
 
 namespace vcal::spmd {
 class CommSchedule;
@@ -113,18 +113,22 @@ class DistMachine {
   /// time / plan-evaluated subscripts / schedule replay / jitted code)
   /// accumulated over the run.
   /// Reporting only — never part of DistStats.
-  const PathCounters& path_counters() const noexcept { return paths_; }
+  const PathCounters& path_counters() const noexcept {
+    return dispatch_.paths();
+  }
 
   /// Communication-schedule accounting: inspector builds, replayed
   /// steps, forced fallbacks, packed/unpacked volumes. Reporting only —
   /// never part of DistStats (the `sched` oracle axis pins that).
-  const CommStats& comm_stats() const noexcept { return comm_; }
+  const CommStats& comm_stats() const noexcept { return dispatch_.comm(); }
 
   /// JIT native-code accounting: compiles, cache reuse, dispatches
   /// through jitted functions, fallbacks to the bytecode kernel.
   /// Reporting only — never part of DistStats (the `jit` oracle axis
   /// pins that).
-  const spmd::JitStats& jit_stats() const noexcept { return jit_; }
+  const spmd::JitStats& jit_stats() const noexcept {
+    return dispatch_.jit();
+  }
 
   /// Per-rank message counts of the last executed step (for tests and
   /// benchmark reporting).
@@ -155,14 +159,12 @@ class DistMachine {
   using Snapshot = std::vector<std::vector<double>>;
 
   void run_clause(const prog::Clause& clause);
-  /// Executor half of the inspector–executor split: replays a compiled
-  /// communication schedule (positional pack into the reused comm
-  /// buffers, operand gather by recorded offset, live guard/RHS). The
-  /// caller has already emitted the control-lane ClauseBegin.
+  /// Executor half of the inspector–executor split: replays the
+  /// route's compiled communication schedule (positional pack into the
+  /// reused comm buffers, then the rank-step replay phase). The caller
+  /// has already emitted the control-lane ClauseBegin.
   void run_clause_scheduled(const prog::Clause& clause,
-                            const spmd::ClausePlan& plan,
-                            const spmd::CommSchedule& sched,
-                            spmd::JitState* js, const spmd::JitFns* jfns);
+                            const spmd::ClausePlan& plan, ClauseRoute& route);
 
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
@@ -183,20 +185,14 @@ class DistMachine {
                      std::vector<RankCounters>& counters, HaloTable& halos,
                      i64 step_id);
 
-  /// Runs body(rank) for every rank, honoring engine_.threads. The
-  /// threads == 1 path calls the body inline with no std::function
-  /// wrapper, so scheduled steady states allocate nothing.
-  template <typename F>
-  void for_ranks(i64 n, F&& body);
-
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
   CostModel cost_;
   EngineOptions engine_;
-  std::shared_ptr<EngineContext> ctx_;         // never null after ctor
-  std::unique_ptr<support::ThreadPool> pool_;  // owned when threads > 1
+  std::shared_ptr<EngineContext> ctx_;  // never null after ctor
   obs::Tracer* tracer_ = nullptr;       // ctx-owned, set when engine_.trace
   PlanLease plans_;                     // leased from ctx_, never empty
+  ClauseDispatch dispatch_;             // lanes, JIT and schedule routing
   DistStore store_;
   DistStats stats_;
   std::vector<RankCounters> last_counters_;
@@ -204,22 +200,6 @@ class DistMachine {
   std::vector<FaultPlan> faults_;
   i64 faults_applied_ = 0;
   i64 stall_rounds_ = 0;
-  PathCounters paths_;
-  CommStats comm_;
-  spmd::JitStats jit_;
-
-  JitSlots jit_slots_;
-
-  // ---- communication-schedule dispatch state ----
-  // Per-program-step memoized plan-cache key (clause.str() computed
-  // once, not per execution) and per-key clean-execution counts at the
-  // current epoch (schedules are recorded on the second clean pass).
-  std::unordered_map<const void*, std::string> step_keys_;
-  struct KeySeen {
-    std::uint64_t epoch = 0;
-    i64 seen = 0;
-  };
-  std::unordered_map<std::string, KeySeen> key_seen_;
 
   // Double-buffered, reused channel storage for scheduled steps: one
   // contiguous value buffer per (src, dst) pair, parity-flipped per
@@ -231,13 +211,7 @@ class DistMachine {
   // Persistent per-step and per-rank scratch for scheduled replay.
   std::vector<RankCounters> sched_counters_;
   std::vector<PathCounters> sched_pcs_;
-  struct ReplayScratch {
-    std::vector<double> refs;
-    std::vector<double> stack;
-    std::vector<const std::vector<double>*> rows;
-    std::vector<const HaloCopy*> halo_rows;
-    std::vector<const double*> bases;  // jitted replay operand bases
-  };
+  std::vector<RankStep> replay_steps_;
   std::vector<ReplayScratch> replay_scratch_;
 };
 

@@ -84,47 +84,4 @@ obs::MetricsRegistry EngineContext::metrics_snapshot() const {
   return metrics_;
 }
 
-const spmd::JitFns* JitSlots::poll(const std::string& key,
-                                   std::uint64_t epoch,
-                                   const prog::Clause& clause,
-                                   const spmd::ClauseKernel& kern,
-                                   const EngineOptions& engine,
-                                   EngineContext& ctx, spmd::JitStats& stats,
-                                   obs::Tracer* tr, i64 step_id,
-                                   spmd::JitState** js) {
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  Slot& slot = slots_[key];
-  if (!ctx.jit().available()) {
-    // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per clause key records that JIT was
-    // requested but cannot happen here.
-    if (!slot.no_toolchain_noted) {
-      slot.no_toolchain_noted = true;
-      ++stats.fallbacks;
-    }
-    return nullptr;
-  }
-  if (!slot.state || slot.epoch != epoch) {
-    // A redistribution invalidated whatever this key had compiled; if
-    // the old state was armed, the next executions run bytecode again —
-    // count that as a fallback, then re-arm from scratch.
-    if (slot.state && slot.state->armed()) ++stats.fallbacks;
-    slot.state = std::make_shared<spmd::JitState>();
-    slot.epoch = epoch;
-  }
-  spmd::JitConfig cfg;
-  cfg.enabled = true;
-  cfg.threshold = engine.jit_threshold;
-  cfg.sync = engine.jit_sync;
-  cfg.cache_dir = engine.jit_cache_dir;
-  cfg.engine = &ctx.jit();
-  spmd::JitPoll r = slot.state->poll(clause, kern, cfg, stats);
-  if (r.launched)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
-  if (r.swapped)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
-  *js = slot.state.get();
-  return r.fns;
-}
-
 }  // namespace vcal::rt

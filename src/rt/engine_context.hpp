@@ -38,7 +38,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rt/engine_options.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 
@@ -144,32 +143,6 @@ class PlanLease {
   }
   std::shared_ptr<EngineContext> ctx_;
   spmd::PlanCache* cache_ = nullptr;
-};
-
-/// A machine's per-plan-key JIT state: arming counter, compile status
-/// and swapped-in function pointers. A redistribution's epoch bump
-/// invalidates the state with the plan that owned it (counted as a
-/// fallback when the old state had armed).
-class JitSlots {
- public:
-  /// One arming / dispatch poll for the clause keyed by `key` at plan
-  /// epoch `epoch`: the jitted entry points when ready (the owning state
-  /// in *js), nullptr while the bytecode kernel should keep running.
-  /// Launches and swaps are traced on the control lane as `step_id`.
-  const spmd::JitFns* poll(const std::string& key, std::uint64_t epoch,
-                           const prog::Clause& clause,
-                           const spmd::ClauseKernel& kern,
-                           const EngineOptions& engine, EngineContext& ctx,
-                           spmd::JitStats& stats, obs::Tracer* tr,
-                           i64 step_id, spmd::JitState** js);
-
- private:
-  struct Slot {
-    std::shared_ptr<spmd::JitState> state;
-    std::uint64_t epoch = 0;
-    bool no_toolchain_noted = false;  // one fallback per key, not per exec
-  };
-  std::unordered_map<std::string, Slot> slots_;
 };
 
 }  // namespace vcal::rt

@@ -20,6 +20,29 @@ double read_row(const std::vector<double>& row, i64 local,
   return row[static_cast<std::size_t>(local)];
 }
 
+// The receive of ref r's element ridx (tag, from rank src) found no
+// message. Kept out of line: the element loops stay small.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_deadlock(
+    const RankStep& s, int r, const std::vector<i64>& ridx, i64 tag,
+    i64 src) {
+  const i64 p = s.rank;
+  std::string elem = s.clause->refs[static_cast<std::size_t>(r)].array + "[";
+  for (std::size_t d = 0; d < ridx.size(); ++d)
+    elem += cat(d ? ", " : "", ridx[d]);
+  elem += "]";
+  std::string diag =
+      cat("deadlock: rank ", p, " blocked on pending receive of ", elem,
+          " (tag ", tag, ") from rank ", src,
+          ", which never sent it — inconsistent schedules or a "
+          "lost message");
+  if (obs::Tracer* tr = s.tracer) {
+    diag += cat("; last traced event on rank ", p, ": ",
+                tr->last_event_str(s.lane));
+    tr->record(s.lane, obs::EventKind::RecvWait, s.step_id, src, tag);
+  }
+  throw DeadlockError(diag);
+}
+
 }  // namespace
 
 bool reads_own_target(const prog::Clause& clause) {
@@ -185,7 +208,16 @@ void update_phase(const RankStep& s, ChannelRow in,
   std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
   const spmd::CompiledGuard* guard = kern.guard();
   const spmd::CompiledExpr& rhs = kern.rhs();
-  spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
+  // Offsets into this rank's rows: local rows on a distributed machine,
+  // whole dense arrays in shared memory.
+  auto addr_of = [&](const decomp::ArrayDesc& d) {
+    return s.dense ? spmd::make_dense_addr(d) : spmd::make_local_addr(d, p);
+  };
+  auto offset_of = [&](const decomp::ArrayDesc& d,
+                       const std::vector<i64>& idx) {
+    return s.dense ? d.dense_linear(idx) : d.local_linear(idx);
+  };
+  spmd::ArrayAddr lhs_addr = addr_of(lhs);
   std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
   std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
   const auto nr = static_cast<std::size_t>(nrefs);
@@ -194,7 +226,7 @@ void update_phase(const RankStep& s, ChannelRow in,
   std::vector<const double*> row_ptrs(nr);
   for (std::size_t r = 0; r < nr; ++r) {
     const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
-    raddrs.push_back(spmd::make_local_addr(rd, p));
+    raddrs.push_back(addr_of(rd));
     g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
     dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
     row_ptrs[r] = rows[r]->data();
@@ -213,12 +245,12 @@ void update_phase(const RankStep& s, ChannelRow in,
       plan.elem_ref_index(r, vals, ridx);
       if (!rd.in_bounds(ridx))
         throw RuntimeFault("read out of bounds on " + clause.refs[ur].array);
-      const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+      const i64 src = s.dense || rd.is_replicated() ? p : rd.owner(ridx);
       if (src == p) {
-        i64 local = rd.local_linear(ridx);
+        i64 local = offset_of(rd, ridx);
         ref_values[ur] = read_row(*rows[ur], local, clause, r);
         ++rc.local_reads;
-        if (rec) rec->note_local(p, r, local);
+        if (rec) rec->note_local(p, local);
         continue;
       }
       if (const HaloCopy* halo = s.halos[ur]; halo && rd.in_halo(p, ridx)) {
@@ -228,41 +260,25 @@ void update_phase(const RankStep& s, ChannelRow in,
         require(hit != halo->end(), "halo cache missing a covered element");
         ref_values[ur] = hit->second;
         ++rc.halo_reads;
-        if (rec) rec->note_halo(p, r, ridx[0]);
+        if (rec) rec->note_halo(p, ridx[0]);
         continue;
       }
       // Blocking receive from the in-flight bulk message.
       i64 tag = plan.elem_tag(r, vals);
       Channel& ch = in[src];
       const double* value = ch.consume(tag);
-      if (value == nullptr) {
-        std::string elem = clause.refs[ur].array + "[";
-        for (std::size_t d = 0; d < ridx.size(); ++d)
-          elem += cat(d ? ", " : "", ridx[d]);
-        elem += "]";
-        std::string diag =
-            cat("deadlock: rank ", p, " blocked on pending receive of ", elem,
-                " (tag ", tag, ") from rank ", src,
-                ", which never sent it — inconsistent schedules or a "
-                "lost message");
-        if (tr) {
-          diag += cat("; last traced event on rank ", p, ": ",
-                      tr->last_event_str(s.lane));
-          tr->record(s.lane, obs::EventKind::RecvWait, s.step_id, src, tag);
-        }
-        throw DeadlockError(diag);
-      }
+      if (value == nullptr) throw_deadlock(s, r, ridx, tag, src);
       ref_values[ur] = *value;
       ++rc.receives;
       ++rc.remote_reads;
-      if (rec) rec->note_remote(p, r, src, static_cast<i64>(ch.last_k));
+      if (rec) rec->note_remote(p, src, static_cast<i64>(ch.last_k));
     }
     if (rec) {
       // Record before the guard: replay evaluates guards live, so
       // guarded-off elements must still carry their operand offsets. -1
       // encodes "the tagged path would fault on an in-range-guarded
       // write".
-      i64 rslot = lhs.local_linear(out_idx);
+      i64 rslot = offset_of(lhs, out_idx);
       if (!in_range(rslot, 0, static_cast<i64>(out_row.size()) - 1))
         rslot = -1;
       rec->note_element(p, rslot, vals.data());
@@ -270,7 +286,7 @@ void update_phase(const RankStep& s, ChannelRow in,
     if (guard && !guard->holds(ref_values.data(), vals.data(), stack.data()))
       return;
     double value = rhs.eval(ref_values.data(), vals.data(), stack.data());
-    i64 slot = lhs.local_linear(out_idx);
+    i64 slot = offset_of(lhs, out_idx);
     if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
       throw RuntimeFault("local write out of bounds on " + clause.lhs_array);
     out_row[static_cast<std::size_t>(slot)] = value;
@@ -342,7 +358,7 @@ void update_phase(const RankStep& s, ChannelRow in,
               // and every ref; record their resolved offsets.
               rec->note_element(p, la, vals.data());
               for (int r = 0; r < nrefs; ++r)
-                rec->note_local(p, r, raddr[static_cast<std::size_t>(r)]);
+                rec->note_local(p, raddr[static_cast<std::size_t>(r)]);
             }
             for (int r = 0; r < nrefs; ++r) {
               auto ur = static_cast<std::size_t>(r);
@@ -372,6 +388,91 @@ void update_phase(const RankStep& s, ChannelRow in,
   if (tr)
     tr->record(s.lane, obs::EventKind::KernelPath, s.step_id, pc.fused,
                pc.generic, pc.interp, pc.sched);
+}
+
+// Rank p reads only pre-clause rows, its halo copies and the buffers
+// packed for it, and writes only its own LHS row.
+void replay_phase(const RankStep& s, const spmd::RecvPlan& rv,
+                  const std::vector<double>* packed, i64 packed_stride,
+                  std::vector<double>& out_row, const spmd::JitFns* jit,
+                  const spmd::JitReplayProg* prog, ReplayScratch& scratch) {
+  const prog::Clause& clause = *s.clause;
+  const spmd::ClauseKernel& kern = s.plan->kernel();
+  const int nrefs = static_cast<int>(clause.refs.size());
+  const int nloops = static_cast<int>(clause.loops.size());
+  const i64 sources = packed ? s.plan->procs() : 0;
+  PathCounters& pc = *s.paths;
+  VCAL_TRACE(s.tracer, s.lane, obs::EventKind::GatherBegin, s.step_id);
+
+  // Operand bases: ref rows first, then the buffer packed by each source
+  // rank (JitRankProg's id encoding).
+  std::vector<const double*>& bases = scratch.bases;
+  bases.resize(static_cast<std::size_t>(nrefs + sources));
+  for (int r = 0; r < nrefs; ++r)
+    bases[static_cast<std::size_t>(r)] =
+        s.rows[static_cast<std::size_t>(r)]->data();
+  for (i64 q = 0; q < sources; ++q)
+    bases[static_cast<std::size_t>(nrefs + q)] =
+        packed[q * packed_stride].data();
+
+  const spmd::JitRankProg* rp =
+      jit && prog ? &prog->ranks[static_cast<std::size_t>(s.rank)] : nullptr;
+  if (rp && rp->any) {
+    // Jitted replay: constant-stride runs go through the vectorizable
+    // fused entry, irregular stretches through the gather entry.
+    for (const spmd::JitSegment& sg : rp->segs) {
+      if (sg.fused)
+        jit->fused(out_row.data(), sg.la0, sg.la_stride, bases.data(),
+                   sg.raddr0.data(), sg.rstride.data(),
+                   rv.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride, sg.n);
+      else
+        jit->replay(out_row.data(), bases.data(),
+                    rp->ids.data() + sg.e0 * nrefs,
+                    rp->offs.data() + sg.e0 * nrefs,
+                    rv.lhs_slot.data() + sg.e0,
+                    rv.vals.data() + sg.e0 * nloops, sg.n);
+    }
+    pc.jit += rv.n;
+  } else {
+    // Bytecode replay: no subscripts, tags, bounds checks or
+    // iteration-space enumeration — one gather per operand.
+    std::vector<double>& refs = scratch.refs;
+    std::vector<double>& stack = scratch.stack;
+    refs.resize(static_cast<std::size_t>(nrefs));
+    stack.resize(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
+    for (i64 e = 0; e < rv.n; ++e) {
+      const i64* vals = rv.vals.data() + e * nloops;
+      const spmd::RefOp* ops = rv.ops.data() + e * nrefs;
+      for (int r = 0; r < nrefs; ++r) {
+        const spmd::RefOp& op = ops[r];
+        double& v = refs[static_cast<std::size_t>(r)];
+        switch (op.kind) {
+          case spmd::RefOp::Kind::Local:
+            v = bases[static_cast<std::size_t>(r)]
+                     [static_cast<std::size_t>(op.a)];
+            break;
+          case spmd::RefOp::Kind::Halo:
+            v = s.halos[static_cast<std::size_t>(r)]->find(op.a)->second;
+            break;
+          case spmd::RefOp::Kind::Remote:
+            v = bases[static_cast<std::size_t>(nrefs + op.src)]
+                     [static_cast<std::size_t>(op.a)];
+            break;
+        }
+      }
+      if (guard && !guard->holds(refs.data(), vals, stack.data())) continue;
+      const double value = kern.rhs().eval(refs.data(), vals, stack.data());
+      const i64 slot = rv.lhs_slot[static_cast<std::size_t>(e)];
+      if (slot < 0)
+        throw RuntimeFault("local write out of bounds on " + clause.lhs_array);
+      out_row[static_cast<std::size_t>(slot)] = value;
+    }
+    pc.sched += rv.n;
+  }
+  VCAL_TRACE(s.tracer, s.lane, obs::EventKind::KernelPath, s.step_id,
+             pc.fused, pc.generic, pc.interp, pc.sched);
+  VCAL_TRACE(s.tracer, s.lane, obs::EventKind::GatherEnd, s.step_id, rv.n);
 }
 
 void check_delivered(i64 p, ChannelRow in, i64 procs) {

@@ -12,6 +12,10 @@
 // loops, the counters and the deadlock diagnostic — and the oracle's
 // proc axis checks the code the simulator runs.
 //
+// The shared-memory machine (SharedMachine) runs the same walk over one
+// dense address space: every operand is resident, no message is sent,
+// and a recorded CommSchedule replays through the same replay phase.
+//
 // A rank step reads the rank's pre-clause rows and halo copies, and
 // writes only its own channels, counters, message-matrix row and LHS
 // row, so callers may run ranks concurrently.
@@ -32,6 +36,8 @@
 namespace vcal::spmd {
 class CommSchedule;
 struct JitFns;
+struct JitReplayProg;
+struct RecvPlan;
 }  // namespace vcal::spmd
 
 namespace vcal::rt {
@@ -75,13 +81,24 @@ struct RankStep {
   /// the clause reads its own target, the live row otherwise.
   std::vector<const std::vector<double>*> rows{};
   /// This rank's halo copy of each ref's array; must be set for every
-  /// ref whose array has a halo, null otherwise.
+  /// ref whose array has a halo, null otherwise (unused when dense).
   std::vector<const HaloCopy*> halos{};
   RankCounters* counters = nullptr;
   PathCounters* paths = nullptr;
   obs::Tracer* tracer = nullptr;  // events go to lane `lane`
   i64 lane = 0;
   spmd::CommSchedule* recorder = nullptr;  // inspector pass, else null
+  /// One dense address space (shared memory): rows are whole dense
+  /// arrays, every operand is resident, and offsets are dense_linear.
+  bool dense = false;
+};
+
+/// Per-rank scratch the replay phase reuses, so a steady state of
+/// replayed steps allocates nothing.
+struct ReplayScratch {
+  std::vector<double> refs;
+  std::vector<double> stack;
+  std::vector<const double*> bases;
 };
 
 /// True when the clause reads the array it writes (senders and local
@@ -101,6 +118,19 @@ void send_phase(const RankStep& s, ChannelRow out,
 /// A receive that finds no message throws DeadlockError.
 void update_phase(const RankStep& s, ChannelRow in,
                   std::vector<double>& out_row, const spmd::JitFns* jit);
+
+/// Replay phase: the executor half of a recorded CommSchedule. Runs
+/// rank p's receive plan `rv`, fetching every operand by its recorded
+/// offset — a row of s.rows, a halo copy, or slot b of the buffer that
+/// source rank a packed (packed[a * packed_stride]; null when the plan
+/// has no remote operands) — and evaluating guard and RHS live. Runs
+/// the rank's flattened segment program from `prog` through `jit` when
+/// both are set and the program covers the rank. Enumeration counters
+/// are the caller's to replay.
+void replay_phase(const RankStep& s, const spmd::RecvPlan& rv,
+                  const std::vector<double>* packed, i64 packed_stride,
+                  std::vector<double>& out_row, const spmd::JitFns* jit,
+                  const spmd::JitReplayProg* prog, ReplayScratch& scratch);
 
 /// The message-pairing invariant: throws when a channel delivered to
 /// rank p (procs of them in `in`) still holds unconsumed messages.

@@ -33,12 +33,11 @@ SharedMachine::SharedMachine(spmd::Program program, gen::BuildOptions opts,
       ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()) {
   program_.validate();
   plans_ = PlanLease(ctx_, "shared", plan_scope);
-  if (engine_.threads > 1)
-    pool_ = std::make_unique<support::ThreadPool>(engine_.threads);
   if (engine_.trace) {
     tracer_ = ctx_->make_tracer(program_.procs, engine_.trace_capacity);
     plans_->set_tracer(tracer_, tracer_->control_lane());
   }
+  dispatch_ = ClauseDispatch(engine_, ctx_, plans_.get(), tracer_);
   for (const auto& [name, desc] : program_.arrays) store_.declare(desc);
 }
 
@@ -48,17 +47,6 @@ void SharedMachine::load(const std::string& name,
   require(it != program_.arrays.end(),
           "SharedMachine::load unknown " + name);
   store_.load(it->second, dense);
-}
-
-template <typename F>
-void SharedMachine::for_ranks(i64 n, F&& body) {
-  if (engine_.threads == 1) {
-    for (i64 r = 0; r < n; ++r) body(r);
-    return;
-  }
-  support::ThreadPool& pool =
-      pool_ ? *pool_ : support::ThreadPool::shared();
-  pool.parallel_for_ranks(n, body);
 }
 
 void SharedMachine::run() {
@@ -90,15 +78,6 @@ void SharedMachine::run() {
     pending_exists = false;
   };
 
-  // The plan-cache key (the clause's printed form) is memoized per
-  // program step, so repeat executions look plans and gather schedules
-  // up without rebuilding the string.
-  auto key_for = [&](const Clause& clause) -> const std::string* {
-    auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-    if (fresh) ki->second = clause.str();
-    return &ki->second;
-  };
-
   for (const spmd::Step& step : program_.steps) {
     if (const auto* clause = std::get_if<Clause>(&step)) {
       if (clause->ord == prog::Ordering::Seq) {
@@ -107,62 +86,15 @@ void SharedMachine::run() {
         pending.reset();
         pending_exists = true;  // unanalyzable: barrier stays
       } else {
-        const std::string* key =
-            engine_.cache_plans ? key_for(*clause) : nullptr;
+        const std::string* key = dispatch_.key(*clause);
         ClausePlan plan =
             key ? plans_->get(*key, *clause, program_.arrays, opts_)
                 : ClausePlan::build(*clause, program_.arrays, opts_);
         resolve_pending(&plan);
-        // JIT dispatch: poll the per-key state once per execution
-        // (arming counter, compile status, pointer swap). Requires the
-        // cached affine kernel path.
-        spmd::JitState* js = nullptr;
-        const spmd::JitFns* jfns = nullptr;
-        if (engine_.jit && plan.kernel().affine() && key)
-          jfns = jit_slots_.poll(*key, plans_->epoch(), *clause,
-                                 plan.kernel(), engine_, *ctx_, jit_,
-                                 tracer_, trace_step_, &js);
-        // Gather-schedule dispatch (see comm_schedule.hpp): replay when
-        // a schedule exists for this plan at the current epoch; record
-        // one on the second clean execution; otherwise enumerate.
-        spmd::GatherSchedule* rec = nullptr;
-        std::unique_ptr<spmd::GatherSchedule> rec_owner;
-        bool replayed = false;
-        if (engine_.comm_schedules) {
-          if (!key) {
-            ++comm_.sched_fallbacks;
-            VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, trace_step_,
-                       0);
-          } else if (auto* gs = static_cast<spmd::GatherSchedule*>(
-                         plans_->find_schedule(*key))) {
-            run_clause_gathered(*clause, plan, *gs, js, jfns);
-            replayed = true;
-          } else {
-            auto [si, first] = key_seen_.try_emplace(
-                *key, KeySeen{plans_->epoch(), 0});
-            if (!first && si->second.epoch != plans_->epoch())
-              si->second = KeySeen{plans_->epoch(), 0};
-            if (si->second.seen >= 1) {
-              rec_owner = std::make_unique<spmd::GatherSchedule>();
-              rec_owner->init(plan.procs(),
-                              static_cast<int>(clause->loops.size()),
-                              static_cast<int>(clause->refs.size()));
-              rec = rec_owner.get();
-            }
-            ++si->second.seen;
-          }
-        }
-        if (!replayed) {
-          // Recording steps run the bytecode loop: the note_* hooks
-          // have to observe every element the inspector will replay.
-          run_clause(*clause, plan, rec, rec ? nullptr : jfns);
-          if (rec) {
-            ++comm_.sched_builds;
-            plans_->attach_schedule(*key, std::move(rec_owner));
-            VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, trace_step_ - 1,
-                       plans_->schedules());
-          }
-        }
+        ClauseRoute route = dispatch_.route(key, *clause, plan,
+                                            /*fault_armed=*/false,
+                                            trace_step_);
+        run_clause(*clause, plan, route);
         pending = std::move(plan);
         pending_exists = true;
       }
@@ -188,332 +120,73 @@ void SharedMachine::run() {
 }
 
 void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
-                               spmd::GatherSchedule* rec,
-                               const spmd::JitFns* jfns) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  const i64 step_id = trace_step_;
-  VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
-  const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
-
-  // The clause body always runs as bytecode (see spmd/kernel.hpp). When
-  // every subscript is affine (kaff), the strided-run analysis fuses
-  // in-bounds subranges (shared memory addresses every array densely, so
-  // it only has to prove bounds, not residency); every other element
-  // runs one at a time, its subscripts from ClausePlan::elem_*.
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const bool kaff = kern.affine();
-
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<double>> snap;
-  if (lhs_read) snap = store_.snapshot(clause.lhs_array);
-
-  std::vector<gen::EnumStats> rank_stats(static_cast<std::size_t>(procs));
-  std::vector<PathCounters> pcs(static_cast<std::size_t>(procs));
-
-  // Ownership partitioning makes writes disjoint; the pool's join is the
-  // template's barrier (whether the generated program would need it is
-  // accounted in run()).
-  for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<i64> out_idx, idx;  // per-rank scratch
-    // Hoist the string-keyed buffer lookups out of the element loop:
-    // reads come from the copy-in snapshot (self-reads) or the shared
-    // dense buffer; writes go to the (disjointly partitioned) LHS buffer.
-    std::vector<const std::vector<double>*> rows(clause.refs.size());
-    for (std::size_t r = 0; r < clause.refs.size(); ++r)
-      rows[r] = snap && clause.refs[r].array == clause.lhs_array
-                    ? &*snap
-                    : &store_.dense(clause.refs[r].array);
-    std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-    const spmd::CompiledGuard* guard = kern.guard();
-    const spmd::CompiledExpr& rhs = kern.rhs();
-    spmd::ArrayAddr lhs_addr = spmd::make_dense_addr(lhs);
-    std::vector<spmd::ArrayAddr> raddrs;
-    raddrs.reserve(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      raddrs.push_back(spmd::make_dense_addr(plan.ref_desc(r)));
-    std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<std::vector<i64>> g0s(static_cast<std::size_t>(nrefs));
-    std::vector<std::vector<i64>> dgs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      g0s[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-      dgs[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-    }
-    std::vector<spmd::StridedRun> rruns(static_cast<std::size_t>(nrefs));
-    std::vector<i64> raddr(static_cast<std::size_t>(nrefs));
-    std::vector<i64> rstride(static_cast<std::size_t>(nrefs));
-    std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      row_ptrs[static_cast<std::size_t>(r)] =
-          rows[static_cast<std::size_t>(r)]->data();
-
-    // Element-at-a-time body.
-    auto element = [&](const std::vector<i64>& vals) {
-      plan.elem_lhs_index(vals, out_idx);
-      if (!lhs.in_bounds(out_idx))
-        throw RuntimeFault("write out of bounds on " + clause.lhs_array);
-      for (int r = 0; r < nrefs; ++r) {
-        const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        plan.elem_ref_index(r, vals, idx);
-        if (!rd.in_bounds(idx))
-          throw RuntimeFault("read out of bounds on " +
-                             clause.refs[static_cast<std::size_t>(r)].array);
-        i64 off = rd.dense_linear(idx);
-        ref_values[static_cast<std::size_t>(r)] =
-            (*rows[static_cast<std::size_t>(r)])
-                [static_cast<std::size_t>(off)];
-        if (rec) rec->note_off(p, off);
-      }
-      if (rec)
-        rec->note_element(p, lhs.dense_linear(out_idx), vals.data());
-      if (guard &&
-          !guard->holds(ref_values.data(), vals.data(), stack.data()))
-        return;
-      out_buf[static_cast<std::size_t>(lhs.dense_linear(out_idx))] =
-          rhs.eval(ref_values.data(), vals.data(), stack.data());
-    };
-
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          spmd::StridedRun lrun;
-          if (kaff)
-            spmd::fill_progression(kern.lhs_subs(), vals, inner, run,
-                                   g0l.data(), dgl.data());
-          bool fuse = kaff && spmd::strided_run(lhs_addr, g0l.data(),
-                                                dgl.data(), run.count, &lrun);
-          i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-          for (int r = 0; fuse && r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern.ref_subs(r), vals, inner, run,
-                                   g0s[ur].data(), dgs[ur].data());
-            fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
-                                     dgs[ur].data(), run.count, &rruns[ur]);
-            if (fuse) {
-              k0 = std::max(k0, rruns[ur].k_lo);
-              k1 = std::min(k1, rruns[ur].k_hi);
-            }
-          }
-          fuse = fuse && k0 <= k1;
-          if (!fuse) {
-            for (i64 k = 0; k < run.count; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              element(vals);
-            }
-            (kaff ? pc.generic : pc.interp) += run.count;
-            return;
-          }
-          for (i64 k = 0; k < k0; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          // Fused strided loop: every element of [k0, k1] is proven in
-          // bounds on both sides, so the body carries no checks, no
-          // calls through the plan, and no allocations — strided dense
-          // reads, the bytecode evaluator on a preallocated stack, and
-          // a strided dense write.
-          i64 la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
-          for (int r = 0; r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            raddr[ur] =
-                rruns[ur].addr0 + (k0 - rruns[ur].k_lo) * rruns[ur].stride;
-          }
-          i64 v = run.start + k0 * run.stride;
-          const i64 fused_n = k1 - k0 + 1;
-          if (jfns) {
-            // Every element of [k0, k1] is proven in bounds, so the
-            // jitted loop needs only the strides: addressing arrives as
-            // arguments, the guard/RHS are compiled in.
-            for (int r = 0; r < nrefs; ++r)
-              rstride[static_cast<std::size_t>(r)] =
-                  rruns[static_cast<std::size_t>(r)].stride;
-            jfns->fused(out_buf.data(), la, lrun.stride, row_ptrs.data(),
-                        raddr.data(), rstride.data(), vals.data(), v,
-                        run.stride, fused_n);
-            pc.jit += fused_n;
-          } else {
-            for (i64 k = 0; k < fused_n; ++k) {
-              vals[static_cast<std::size_t>(inner)] = v;
-              if (rec) {
-                rec->note_element(p, la, vals.data());
-                for (int r = 0; r < nrefs; ++r)
-                  rec->note_off(p, raddr[static_cast<std::size_t>(r)]);
-              }
-              for (int r = 0; r < nrefs; ++r) {
-                auto ur = static_cast<std::size_t>(r);
-                ref_values[ur] =
-                    (*rows[ur])[static_cast<std::size_t>(raddr[ur])];
-                raddr[ur] += rruns[ur].stride;
-              }
-              if (!guard ||
-                  guard->holds(ref_values.data(), vals.data(), stack.data()))
-                out_buf[static_cast<std::size_t>(la)] =
-                    rhs.eval(ref_values.data(), vals.data(), stack.data());
-              la += lrun.stride;
-              v += run.stride;
-            }
-            pc.fused += fused_n;
-          }
-          for (i64 k = k1 + 1; k < run.count; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          pc.generic += run.count - fused_n;
-        },
-        &rank_stats[static_cast<std::size_t>(p)]);
-    VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, pc.fused,
-               pc.generic, pc.interp);
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
-  });
-
-  for (const PathCounters& c : pcs) paths_ += c;
-  // The recorded enumeration statistics replay verbatim on gathered
-  // steps, keeping iterations/tests/sim_time bit-identical.
-  if (rec) rec->stats = rank_stats;
-
-  double slowest = 0.0;
-  i64 iters = 0, tests = 0;
-  for (const auto& s : rank_stats) {
-    stats_.iterations += s.loop_iters;
-    stats_.tests += s.tests;
-    slowest = std::max(slowest, cost_.compute_cost(s.loop_iters, s.tests));
-    iters += s.loop_iters;
-    tests += s.tests;
-  }
-  stats_.sim_time += slowest;
-  if (tr) {
-    tr->set_virtual_time(stats_.sim_time);
-    tr->record(ctl, obs::EventKind::StepCounters, step_id, iters, tests, 0,
-               0);
-    tr->record(ctl, obs::EventKind::ClauseEnd, step_id);
-  }
-  ++trace_step_;
-}
-
-// Executor half of the gather-schedule split: every virtual processor's
-// operand reads become a flat gather over recorded dense-store offsets —
-// no subscript evaluation, no bounds checks, no iteration-space
-// enumeration. Guards and right-hand sides are evaluated live; the
-// recording step's enumeration statistics replay verbatim, keeping
-// SharedStats bit-identical to the enumerated path.
-void SharedMachine::run_clause_gathered(const Clause& clause,
-                                        const ClausePlan& plan,
-                                        const spmd::GatherSchedule& sched,
-                                        spmd::JitState* js,
-                                        const spmd::JitFns* jfns) {
+                               ClauseRoute& route) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = trace_step_;
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
   const i64 procs = plan.procs();
-  const int nrefs = sched.nrefs;
-  const int nloops = sched.nloops;
-  const spmd::ClauseKernel& kern = plan.kernel();
+  const auto np = static_cast<std::size_t>(procs);
 
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
+  // Reads come from the copy-in snapshot (self-reads) or the shared
+  // dense arrays; writes go to the LHS array, partitioned by ownership.
   std::optional<std::vector<double>> snap;
-  if (lhs_read) snap = store_.snapshot(clause.lhs_array);
+  if (reads_own_target(clause)) snap = store_.snapshot(clause.lhs_array);
+  std::vector<const std::vector<double>*> rows(clause.refs.size());
+  for (std::size_t r = 0; r < clause.refs.size(); ++r)
+    rows[r] = snap && clause.refs[r].array == clause.lhs_array
+                  ? &*snap
+                  : &store_.dense(clause.refs[r].array);
+  std::vector<double>& out = store_.buffer(clause.lhs_array);
 
-  std::vector<PathCounters> pcs(static_cast<std::size_t>(procs));
-  for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::GatherBegin, step_id);
-    const spmd::GatherSchedule::RankGather& rg =
-        sched.ranks[static_cast<std::size_t>(p)];
-    std::vector<double> ref_values(static_cast<std::size_t>(nrefs));
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] =
-          snap && clause.refs[static_cast<std::size_t>(r)].array ==
-                      clause.lhs_array
-              ? &*snap
-              : &store_.dense(clause.refs[static_cast<std::size_t>(r)].array);
-    std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-    const spmd::CompiledGuard* guard = kern.guard();
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
+  std::vector<RankCounters> counters(np);
+  std::vector<PathCounters> pcs(np);
+  std::vector<RankStep> ranks(np);
+  for (i64 p = 0; p < procs; ++p)
+    ranks[static_cast<std::size_t>(p)] =
+        RankStep{.clause = &clause, .plan = &plan, .rank = p,
+                 .step_id = step_id, .rows = rows,
+                 .counters = &counters[static_cast<std::size_t>(p)],
+                 .paths = &pcs[static_cast<std::size_t>(p)], .tracer = tr,
+                 .lane = p, .recorder = route.record.get(), .dense = true};
+  if (replay_scratch_.size() < np) replay_scratch_.resize(np);
 
-    // Jitted replay: execute the flattened segment program instead of
-    // the per-element gather — constant-stride runs go through the
-    // vectorizable fused entry, irregular stretches through the gather
-    // entry. A rank with any == false keeps the bytecode loop below.
-    const spmd::JitRankProg* rp = nullptr;
-    if (jfns && js) {
-      const spmd::JitReplayProg* jp = js->replay_prog(sched);
-      const spmd::JitRankProg& rr = jp->ranks[static_cast<std::size_t>(p)];
-      if (rr.any) rp = &rr;
-    }
-    if (rp) {
-      std::vector<const double*> bases(static_cast<std::size_t>(nrefs));
-      for (int r = 0; r < nrefs; ++r)
-        bases[static_cast<std::size_t>(r)] =
-            rows[static_cast<std::size_t>(r)]->data();
-      for (const spmd::JitSegment& sg : rp->segs) {
-        if (sg.fused)
-          jfns->fused(out_buf.data(), sg.la0, sg.la_stride, bases.data(),
-                      sg.raddr0.data(), sg.rstride.data(),
-                      rg.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride,
-                      sg.n);
-        else
-          jfns->replay(out_buf.data(), bases.data(),
-                       rp->ids.data() + sg.e0 * nrefs,
-                       rp->offs.data() + sg.e0 * nrefs,
-                       rg.lhs_slot.data() + sg.e0,
-                       rg.vals.data() + sg.e0 * nloops, sg.n);
-      }
-      pc.jit += rg.n;
-    } else {
-      for (i64 e = 0; e < rg.n; ++e) {
-        const i64* vals = rg.vals.data() + e * nloops;
-        const i64* offs = rg.offs.data() + e * nrefs;
-        for (int r = 0; r < nrefs; ++r)
-          ref_values[static_cast<std::size_t>(r)] =
-              (*rows[static_cast<std::size_t>(r)])
-                  [static_cast<std::size_t>(offs[r])];
-        if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
-          continue;
-        out_buf[static_cast<std::size_t>(
-            rg.lhs_slot[static_cast<std::size_t>(e)])] =
-            kern.rhs().eval(ref_values.data(), vals, stack.data());
-      }
-      pc.sched += rg.n;
-    }
-    VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, 0, 0, 0,
-               pc.sched);
-    VCAL_TRACE(tr, p, obs::EventKind::GatherEnd, step_id, rg.n);
+  // A replicated LHS gives every rank the same Modify_p over the same
+  // dense elements, so rank 0 alone runs it (other ranks would write
+  // the same elements concurrently) and the others repeat its counts.
+  const bool replicated = plan.lhs_desc().is_replicated();
+  Channel none;  // shared memory sends nothing
+  // The pool's join is the template's barrier (whether the generated
+  // program would need it is accounted in run()).
+  dispatch_.for_ranks(replicated ? 1 : procs, [&](i64 p) {
+    const auto up = static_cast<std::size_t>(p);
+    if (route.replay)
+      replay_phase(ranks[up], route.replay->recv[up], nullptr, 0, out,
+                   route.jit, route.jit_replay, replay_scratch_[up]);
+    else
+      update_phase(ranks[up], ChannelRow{&none, 0}, out, route.jit);
   });
+  for (std::size_t p = 1; replicated && p < np; ++p) {
+    counters[p] = counters[0];
+    pcs[p] = pcs[0];
+  }
 
-  for (const PathCounters& c : pcs) paths_ += c;
-  ++comm_.sched_hits;
-  VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
-
+  // A replayed step repeats its recording step's enumeration counts,
+  // keeping iterations/tests/sim_time bit-identical.
+  if (route.record) route.record->counters = counters;
+  const std::vector<RankCounters>& step =
+      route.replay ? route.replay->counters : counters;
   double slowest = 0.0;
   i64 iters = 0, tests = 0;
-  for (const auto& s : sched.stats) {
-    stats_.iterations += s.loop_iters;
-    stats_.tests += s.tests;
-    slowest = std::max(slowest, cost_.compute_cost(s.loop_iters, s.tests));
-    iters += s.loop_iters;
-    tests += s.tests;
+  for (const RankCounters& c : step) {
+    iters += c.iterations;
+    tests += c.tests;
+    slowest = std::max(slowest, cost_.compute_cost(c.iterations, c.tests));
   }
+  stats_.iterations += iters;
+  stats_.tests += tests;
   stats_.sim_time += slowest;
+  dispatch_.finish(route, pcs, step_id);
   if (tr) {
     tr->set_virtual_time(stats_.sim_time);
     tr->record(ctl, obs::EventKind::StepCounters, step_id, iters, tests, 0,

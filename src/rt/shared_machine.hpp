@@ -6,35 +6,35 @@
 //   forall i in Modify_p do A[f(i)] := Expr(B[g(i)]); od;
 //   barrier;
 //
-// All arrays live in one shared dense store; per clause, every virtual
-// processor iterates its Modify_p schedule on the engine's thread pool
-// (no per-clause thread spawns), and the join is the barrier. Ownership
-// partitioning makes writes disjoint, so no locking is needed; parallel
-// clauses that read their own target take a copy-in snapshot first.
-// Clause plans are cached across repeated executions until a
-// redistribution changes a decomposition.
+// All arrays live in one shared dense store. Per clause, every virtual
+// processor runs the rank-step's Modify_p walk (rt/rank_step.hpp) in
+// dense addressing on the engine's thread pool, with no send phase;
+// the join is the barrier. Ownership partitioning makes writes
+// disjoint, so no locking is needed; a replicated LHS gives every rank
+// the same Modify_p, so rank 0 alone runs it. Parallel clauses that
+// read their own target take a copy-in snapshot first. Clause plans
+// are cached across repeated executions until a redistribution changes
+// a decomposition, and repeated clauses replay a recorded CommSchedule
+// of dense offsets, as the distributed machine does.
 //
 // Redistribution steps move no data here (memory is shared) but do change
 // the ownership partitioning of subsequent clauses.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "gen/optimizer.hpp"
 #include "obs/trace.hpp"
+#include "rt/clause_dispatch.hpp"
 #include "rt/cost_model.hpp"
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
-#include "support/thread_pool.hpp"
-
-namespace vcal::spmd {
-class GatherSchedule;
-}
 
 namespace vcal::rt {
 
@@ -75,17 +75,21 @@ class SharedMachine {
   /// time / plan-evaluated subscripts / schedule replay / jitted code)
   /// accumulated over the run.
   /// Reporting only — never part of SharedStats.
-  const PathCounters& path_counters() const noexcept { return paths_; }
+  const PathCounters& path_counters() const noexcept {
+    return dispatch_.paths();
+  }
 
-  /// Gather-schedule accounting: inspector builds, replayed steps,
+  /// Comm-schedule accounting: inspector builds, replayed steps,
   /// forced fallbacks. Reporting only — never part of SharedStats.
-  const CommStats& comm_stats() const noexcept { return comm_; }
+  const CommStats& comm_stats() const noexcept { return dispatch_.comm(); }
 
   /// JIT native-code accounting: compiles, cache reuse, dispatches
   /// through jitted functions, fallbacks to the bytecode kernel.
   /// Reporting only — never part of SharedStats (the `jit` oracle axis
   /// pins that).
-  const spmd::JitStats& jit_stats() const noexcept { return jit_; }
+  const spmd::JitStats& jit_stats() const noexcept {
+    return dispatch_.jit();
+  }
 
   /// The attached event tracer (EngineOptions::trace); nullptr when
   /// tracing is off. Lanes 0..procs-1 are ranks, lane procs the engine.
@@ -93,51 +97,25 @@ class SharedMachine {
   const obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// `rec`, when non-null, is the GatherSchedule being recorded by this
-  /// (clean, cached) execution — the inspector half of the split.
+  /// Runs one parallel clause on the route `dispatch_` chose: every
+  /// rank's dense Modify_p walk, or the replay of a recorded schedule.
   void run_clause(const prog::Clause& clause, const spmd::ClausePlan& plan,
-                  spmd::GatherSchedule* rec, const spmd::JitFns* jfns);
-  /// Executor half: replays a compiled gather schedule — per virtual
-  /// processor, a flat gather over dense-store offsets plus live
-  /// guard/RHS evaluation; enumeration statistics replay verbatim.
-  void run_clause_gathered(const prog::Clause& clause,
-                           const spmd::ClausePlan& plan,
-                           const spmd::GatherSchedule& sched,
-                           spmd::JitState* js, const spmd::JitFns* jfns);
-
+                  ClauseRoute& route);
   void run_clause_sequential(const prog::Clause& clause);
-  /// Runs body(rank) for every rank, honoring engine_.threads (inline,
-  /// with no std::function wrapper, when threads == 1).
-  template <typename F>
-  void for_ranks(i64 n, F&& body);
 
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
   CostModel cost_;
   bool elide_barriers_;
   EngineOptions engine_;
-  std::shared_ptr<EngineContext> ctx_;         // never null after ctor
-  std::unique_ptr<support::ThreadPool> pool_;  // owned when threads > 1
+  std::shared_ptr<EngineContext> ctx_;  // never null after ctor
   obs::Tracer* tracer_ = nullptr;       // ctx-owned, set when engine_.trace
   PlanLease plans_;                     // leased from ctx_, never empty
+  ClauseDispatch dispatch_;             // lanes, JIT and schedule routing
   DenseStore store_;
   SharedStats stats_;
-  PathCounters paths_;
-  CommStats comm_;
-  spmd::JitStats jit_;
   i64 trace_step_ = 0;  // executed-step ordinal for trace event ids
-
-  JitSlots jit_slots_;
-
-  // Gather-schedule dispatch state (see DistMachine): memoized plan-cache
-  // keys per program step, and per-key clean-execution counts at the
-  // current epoch (schedules are recorded on the second clean pass).
-  std::unordered_map<const void*, std::string> step_keys_;
-  struct KeySeen {
-    std::uint64_t epoch = 0;
-    i64 seen = 0;
-  };
-  std::unordered_map<std::string, KeySeen> key_seen_;
+  std::vector<ReplayScratch> replay_scratch_;  // per rank, reused
 };
 
 }  // namespace vcal::rt

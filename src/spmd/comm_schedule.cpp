@@ -31,18 +31,4 @@ std::string CommSchedule::describe() const {
              " packed/step=", packed_ops, " remote/step=", remote_ops);
 }
 
-void GatherSchedule::init(i64 procs, int nloops_, int nrefs_) {
-  nloops = nloops_;
-  nrefs = nrefs_;
-  ranks.assign(static_cast<std::size_t>(procs), RankGather{});
-  stats.assign(static_cast<std::size_t>(procs), gen::EnumStats{});
-}
-
-std::string GatherSchedule::describe() const {
-  i64 elements = 0;
-  for (const RankGather& rg : ranks) elements += rg.n;
-  return cat("gather-schedule ranks=", ranks.size(),
-             " elements=", elements);
-}
-
 }  // namespace vcal::spmd

@@ -30,17 +30,16 @@
 // the pattern; single-shot clauses never pay the inspector); any armed
 // fault or `cache_plans == false` falls back to the tagged path.
 //
-// GatherSchedule is the shared-memory sibling: the same source-offset
-// lists turn each virtual processor's operand reads into a flat gather
-// over dense-store offsets, skipping subscript evaluation and iteration-
-// space enumeration on replay.
+// The shared-memory machine records the same schedule over its one
+// dense store: no pack program, and every RefOp a Local dense offset,
+// so each virtual processor's replay is a flat gather that skips
+// subscript evaluation and iteration-space enumeration.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "gen/schedule.hpp"
 #include "rt/cost_model.hpp"
 #include "spmd/plan_cache.hpp"
 #include "support/math.hpp"
@@ -56,16 +55,17 @@ struct PackOp {
 };
 
 /// How one operand of one scheduled element is satisfied on replay.
+/// The operand's reference is its position r among the element's
+/// RefOps.
 struct RefOp {
   enum class Kind : std::uint8_t {
-    Local,   // a = local row offset (replicated refs fold in here)
-    Halo,    // a = global index into this rank's halo cache
-    Remote,  // a = source rank, b = slot in the packed (a, dst) buffer
+    Local,   // a = offset into ref r's row (replicated refs fold in here)
+    Halo,    // a = global index into this rank's halo copy of ref r
+    Remote,  // a = slot in the buffer packed by rank src for this rank
   };
   Kind kind = Kind::Local;
-  std::int32_t ref = 0;
+  std::int32_t src = 0;
   i64 a = 0;
-  i64 b = 0;
 };
 
 /// Per-source-rank pack program: ops[dst_begin[d] .. dst_begin[d+1])
@@ -88,8 +88,8 @@ struct RecvPlan {
   std::vector<RefOp> ops; // n * nrefs operand fetches, flattened
 };
 
-/// The distributed machine's compiled schedule for one (clause plan,
-/// decomposition epoch). Public data: the machine records into it
+/// The compiled schedule for one (clause plan, decomposition epoch).
+/// Public data: the machine records into it
 /// during the inspector step (rank-partitioned, so the parallel phase
 /// loops record without locks) and replays from it afterwards.
 class CommSchedule : public CachedSchedule {
@@ -115,17 +115,18 @@ class CommSchedule : public CachedSchedule {
     rv.lhs_slot.push_back(slot);
     for (int d = 0; d < nloops; ++d) rv.vals.push_back(vals_[d]);
   }
-  void note_local(i64 p, int r, i64 offset) {
+  // Each element notes its operands in reference order.
+  void note_local(i64 p, i64 offset) {
     recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Local, r, offset, 0});
+        RefOp{RefOp::Kind::Local, 0, offset});
   }
-  void note_halo(i64 p, int r, i64 global) {
+  void note_halo(i64 p, i64 global) {
     recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Halo, r, global, 0});
+        RefOp{RefOp::Kind::Halo, 0, global});
   }
-  void note_remote(i64 p, int r, i64 src, i64 slot) {
+  void note_remote(i64 p, i64 src, i64 slot) {
     recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Remote, r, src, slot});
+        RefOp{RefOp::Kind::Remote, static_cast<std::int32_t>(src), slot});
   }
 
   /// Computes the derived totals (remote_ops, packed_ops) once the
@@ -133,39 +134,6 @@ class CommSchedule : public CachedSchedule {
   void seal();
 
   /// One-line summary for diagnostics and tests.
-  std::string describe() const;
-};
-
-/// Shared-memory sibling: per virtual processor, the flat list of
-/// (dense LHS slot, loop tuple, dense operand offsets) its Modify_p
-/// schedule enumerates — replay is a contiguous gather + live
-/// guard/RHS evaluation, with the recorded enumeration statistics
-/// replayed verbatim.
-class GatherSchedule : public CachedSchedule {
- public:
-  int nloops = 0;
-  int nrefs = 0;
-  struct RankGather {
-    i64 n = 0;
-    std::vector<i64> lhs_slot;  // dense slots; -1 = guarded OOB write
-    std::vector<i64> vals;      // n * nloops
-    std::vector<i64> offs;      // n * nrefs dense offsets
-  };
-  std::vector<RankGather> ranks;
-  std::vector<gen::EnumStats> stats;  // per-rank enumeration deltas
-
-  void init(i64 procs, int nloops_, int nrefs_);
-
-  void note_element(i64 p, i64 slot, const i64* vals_) {
-    RankGather& rg = ranks[static_cast<std::size_t>(p)];
-    ++rg.n;
-    rg.lhs_slot.push_back(slot);
-    for (int d = 0; d < nloops; ++d) rg.vals.push_back(vals_[d]);
-  }
-  void note_off(i64 p, i64 off) {
-    ranks[static_cast<std::size_t>(p)].offs.push_back(off);
-  }
-
   std::string describe() const;
 };
 

@@ -273,34 +273,14 @@ const JitReplayProg* JitState::replay_prog(const CommSchedule& s) {
           const RefOp& op = rv.ops[static_cast<std::size_t>(e * s.nrefs + r)];
           switch (op.kind) {
             case RefOp::Kind::Local:
-              return {true, op.ref, op.a};
+              return {true, r, op.a};
             case RefOp::Kind::Remote:
-              return {true, s.nrefs + op.a, op.b};
+              return {true, s.nrefs + op.src, op.a};
             case RefOp::Kind::Halo:
               return {false, 0, 0};
           }
           return {false, 0, 0};
         });
-  }
-  replay_ = std::move(prog);
-  return replay_.get();
-}
-
-const JitReplayProg* JitState::replay_prog(const GatherSchedule& s) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (replay_ && replay_->sched == &s) return replay_.get();
-  auto prog = std::make_unique<JitReplayProg>();
-  prog->sched = &s;
-  prog->ranks.resize(s.ranks.size());
-  for (std::size_t p = 0; p < s.ranks.size(); ++p) {
-    const GatherSchedule::RankGather& rg = s.ranks[p];
-    build_rank_prog(prog->ranks[p], rg.n, s.nrefs, s.nloops,
-                    rg.lhs_slot.data(), rg.vals.data(),
-                    [&](i64 e, int r) -> OpRead {
-                      return {true, r,
-                              rg.offs[static_cast<std::size_t>(
-                                  e * s.nrefs + r)]};
-                    });
   }
   replay_ = std::move(prog);
   return replay_.get();
@@ -347,7 +327,6 @@ JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
           ++stats.builds;
         stats.compile_ms += compile_ms_;
       }
-      ++stats.hits;
       r.fns = &fns_;
     } else if (status_ == Status::Failed) {
       ++stats.fallbacks;

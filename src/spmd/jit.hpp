@@ -57,7 +57,6 @@
 namespace vcal::spmd {
 
 class CommSchedule;
-class GatherSchedule;
 class JitEngine;
 
 /// Reporting-only counters (never part of DistStats/SharedStats, like
@@ -66,7 +65,7 @@ class JitEngine;
 struct JitStats {
   i64 builds = 0;      // compiles that produced a fresh shared object
   i64 cache_hits = 0;  // content-addressed .so / module registry reuse
-  i64 hits = 0;        // clause executions dispatched through jitted code
+  i64 hits = 0;        // clause executions in which jitted code ran
   i64 fallbacks = 0;   // armed executions forced back to bytecode
   double compile_ms = 0.0;  // wall time spent in the toolchain
 
@@ -175,7 +174,6 @@ class JitState : public std::enable_shared_from_this<JitState> {
   /// The flattened replay program for `s`, built once per schedule and
   /// cached. Never fails: ineligible ranks come back with any == false.
   const JitReplayProg* replay_prog(const CommSchedule& s);
-  const JitReplayProg* replay_prog(const GatherSchedule& s);
 
  private:
   friend class JitEngine;

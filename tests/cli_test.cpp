@@ -36,19 +36,30 @@ std::string unique_dir() {
 
 struct RunResult {
   int status;
-  std::string out;
+  std::string out;  // stdout, with stderr merged in unless kept apart
+  std::string err;  // stderr when run() keeps it apart
 };
 
-RunResult run(const std::string& args) {
+/// Runs vcalc with `args`. `merge_stderr` false keeps stderr out of
+/// `out`, for comparisons that a worker's or sanitizer's diagnostic
+/// line on stderr must not perturb.
+RunResult run(const std::string& args, bool merge_stderr = true) {
   std::string dir = unique_dir();
   std::string out_file = dir + "/cli_out.txt";
-  std::string cmd = vcalc() + " " + args + " > " + out_file + " 2>&1";
+  std::string err_file = dir + "/cli_err.txt";
+  std::string cmd = vcalc() + " " + args + " > " + out_file +
+                    (merge_stderr ? " 2>&1" : " 2> " + err_file);
   int status = std::system(cmd.c_str());
-  std::ostringstream buf;
-  buf << std::ifstream(out_file).rdbuf();
-  ::unlink(out_file.c_str());
+  auto slurp = [](const std::string& file) {
+    std::ostringstream buf;
+    buf << std::ifstream(file).rdbuf();
+    ::unlink(file.c_str());
+    return buf.str();
+  };
+  RunResult r{WEXITSTATUS(status), slurp(out_file),
+              merge_stderr ? std::string{} : slurp(err_file)};
   ::rmdir(dir.c_str());
-  return {WEXITSTATUS(status), buf.str()};
+  return r;
 }
 
 bool has(const std::string& hay, const std::string& needle) {
@@ -80,16 +91,17 @@ TEST(Cli, ProcTargetMatchesDistStatsAndExportsRankTraces) {
   // The multi-process backend through the CLI: same results and stats
   // line as the simulator, a paths line from the workers' rank-steps,
   // and --trace ships per-rank worker lanes back into one Chrome JSON
-  // (no "engine" control lane — workers have none).
+  // (no "engine" control lane — workers have none). Only stdout is
+  // compared: workers share the launcher's stderr.
   std::string base = "--init U --print U --stats " + programs() +
                      "/relax.vexl";
-  RunResult dist = run("--target=dist " + base);
-  RunResult proc = run("--target=proc " + base);
-  EXPECT_EQ(proc.status, 0) << proc.out;
+  RunResult dist = run("--target=dist " + base, /*merge_stderr=*/false);
+  RunResult proc = run("--target=proc " + base, /*merge_stderr=*/false);
+  EXPECT_EQ(proc.status, 0) << proc.out << proc.err;
   auto arrays = [](const std::string& s) {
     return s.substr(0, s.find("paths:"));
   };
-  EXPECT_EQ(arrays(dist.out), arrays(proc.out));
+  EXPECT_EQ(arrays(dist.out), arrays(proc.out)) << dist.err << proc.err;
   EXPECT_TRUE(has(proc.out, "\npaths: fused=")) << proc.out;
 
   std::string dir = unique_dir();

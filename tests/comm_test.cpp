@@ -174,7 +174,7 @@ TEST(CommSchedule, NoPlanCacheDisablesSchedules) {
   expect_same_observables(base, r);
 }
 
-TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
+TEST(CommSchedule, SharedReplayMatchesEnumeration) {
   spmd::Program program = lang::compile(repeat_src(6, /*redist=*/true));
   auto run_shared = [&](bool sched) {
     EngineOptions e;
@@ -201,6 +201,10 @@ TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
   EXPECT_EQ(c_off.sched_hits, 0);
   EXPECT_GT(p_on.sched + p_on.jit, 0);
   EXPECT_EQ(p_off.sched, 0);
+  // Shared memory's schedules read every operand at a dense offset:
+  // nothing is packed or unpacked on replay.
+  EXPECT_EQ(c_on.packed_values, 0);
+  EXPECT_EQ(c_on.unpacked_values, 0);
 }
 
 }  // namespace

@@ -235,6 +235,31 @@ TEST(JitDispatch, ArmsOnTheNthCleanExecution) {
   EXPECT_EQ(cold.jit.hits, 0);
 }
 
+TEST(JitDispatch, HitsCountOnlyExecutionsThatRanJittedCode) {
+  if (!toolchain()) GTEST_SKIP() << "no C compiler detected";
+  const std::string cache = temp_cache_dir();
+  // Six executions at threshold 2: a bytecode walk, the recording pass
+  // (bytecode, so the recording hooks see every element), then four
+  // schedule replays.
+  std::string halo_src =
+      "processors 4;\narray A[0:63];\ndistribute A block overlap(1);\n";
+  for (int k = 0; k < 6; ++k)
+    halo_src += "forall i in 1:62 do A[i] := (A[i-1] + A[i+1])/2 + 56; od\n";
+  // Dist replays read halo copies, which the jitted replay cannot, so
+  // every replay runs bytecode and no hit may be counted.
+  DistRun d = run_dist(halo_src, jit_on(cache, /*threshold=*/2), "A");
+  EXPECT_EQ(d.paths.jit, 0);
+  EXPECT_EQ(d.jit.hits, 0);
+  // Shared memory replays dense offsets through jitted code.
+  SharedRun s = run_shared(halo_src, jit_on(cache, /*threshold=*/2), "A");
+  EXPECT_GT(s.paths.jit, 0);
+  EXPECT_EQ(s.jit.hits, 4);
+  // Dist replays without halo operands run jitted code too.
+  DistRun r = run_dist(comm_src(6, 57), jit_on(cache, /*threshold=*/2));
+  EXPECT_GT(r.paths.jit, 0);
+  EXPECT_EQ(r.jit.hits, 4);
+}
+
 TEST(JitDispatch, ContentAddressedCacheIsReusedAcrossMachines) {
   if (!toolchain()) GTEST_SKIP() << "no C compiler detected";
   const std::string cache = temp_cache_dir();

@@ -841,6 +841,51 @@ TEST(Engine, SharedMachineMatchesAcrossPoolSizes) {
   EXPECT_DOUBLE_EQ(many.stats().sim_time, one.stats().sim_time);
 }
 
+TEST(Engine, SharedReplicatedTargetHasOneWriter) {
+  // C[i] := A[i] with C replicated: every virtual processor's Modify_p
+  // is the whole range, over the same dense elements. Exactly one rank
+  // may write them — any second writer races with it on the pool, which
+  // a -fsanitize=thread build reports — while the stats and path tally
+  // still count every rank's walk. Four repeats cover the walk, the
+  // recording pass and two schedule replays.
+  constexpr i64 n = 256;
+  Program p;
+  p.procs = 4;
+  p.arrays.emplace("A", ArrayDesc::distributed(
+                            "A", {0}, {n - 1},
+                            DecompND({Decomp1D::scatter(n, 4)})));
+  p.arrays.emplace("C", ArrayDesc::replicated("C", {0}, {n - 1}, 4));
+  prog::Clause c;
+  c.loops = {{"i", 0, n - 1}};
+  c.lhs_array = "C";
+  c.lhs_subs = {{0, fn::var()}};
+  c.refs.push_back({"A", {{0, fn::var()}}});
+  c.rhs = prog::ref(0);
+  for (int k = 0; k < 4; ++k) p.steps.emplace_back(c);
+
+  auto run = [&](int threads) {
+    EngineOptions e;
+    e.threads = threads;
+    e.jit = false;  // jitted code is invisible to the race detector
+    SharedMachine m(p, {}, {}, false, e);
+    m.load("A", iota(n, 1.0));
+    m.run();
+    return std::make_tuple(m.result("C"), m.stats(), m.path_counters(),
+                           m.comm_stats());
+  };
+  auto [c1, s1, p1, k1] = run(1);
+  auto [c4, s4, p4, k4] = run(4);
+  EXPECT_EQ(c1, iota(n, 1.0));
+  EXPECT_EQ(c4, c1);
+  EXPECT_EQ(s4.iterations, 4 * 4 * n);
+  EXPECT_EQ(s4.iterations, s1.iterations);
+  EXPECT_EQ(s4.tests, s1.tests);
+  EXPECT_DOUBLE_EQ(s4.sim_time, s1.sim_time);
+  EXPECT_EQ(p4.fused + p4.generic + p4.interp + p4.sched, 4 * 4 * n);
+  EXPECT_EQ(p4.sched, p1.sched);
+  EXPECT_EQ(k4.sched_hits, 2);
+}
+
 TEST(Engine, FullOptionMatrixIsBitIdentical) {
   // Regression net over the whole engine-option space: threads in
   // {serial, shared pool, 4 lanes} x plan cache {on, off} must agree

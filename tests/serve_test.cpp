@@ -57,7 +57,7 @@ const char kRedistRepeat[] =
     "forall i in 2:35 do C[i - 2] := A[i]*0.5 + B[(i + 5) mod 38] - 5; od\n";
 
 // A clause that runs three times after a redistribute: a machine records
-// its comm/gather schedule at epoch 1, and the next machine leasing the
+// its comm schedule at epoch 1, and the next machine leasing the
 // warm scope replays that schedule.
 const char kRedistSchedule[] =
     "processors 4;\n"
@@ -376,8 +376,8 @@ TEST(EngineContext, MachineKindsLeaseSeparatePlanPools) {
   EXPECT_EQ(again, shared);
   ctx->release_plans(again);
 
-  // Through the machines: shared runs leave gather schedules in their
-  // warm cache; a dist run on the same scope must not replay them.
+  // Through the machines: shared runs leave dense-offset schedules in
+  // their warm cache; a dist run on the same scope must not replay them.
   spmd::Program prog = lang::compile(kHalo3);
   rt::DistMachine direct(prog);
   direct.load("B", ramp(32));
